@@ -363,98 +363,6 @@ fn main() {
         slowest.len()
     );
 
-    // --- sharded serving section --------------------------------------
-    // Replay the exact same series and delta stream into an 8-shard
-    // store: every published bit must match the 1-shard baseline, and a
-    // paired load run measures the scatter-gather overhead. As with the
-    // tracing section, run-to-run noise can exceed the real overhead,
-    // so up to three paired attempts are made.
-    const SHARDS: usize = 8;
-    let sharded_handle = Arc::new(ShardedStore::new(SHARDS));
-    let mut sharded_engine = RefreshEngine::from_series(
-        &series,
-        RefreshConfig::default(),
-        Arc::clone(&sharded_handle),
-    )
-    .unwrap();
-    sharded_engine
-        .ingest(&EdgeDelta {
-            time: 3.0,
-            added: edges[delta_from..]
-                .iter()
-                .map(|&(s, d)| (s as u64, d as u64))
-                .collect(),
-            ..Default::default()
-        })
-        .unwrap();
-    sharded_engine
-        .ingest(&EdgeDelta {
-            time: 4.0,
-            new_pages: vec![pages as u64],
-            added: vec![(pages as u64, 0)],
-            ..Default::default()
-        })
-        .unwrap();
-    let shard_mismatch = bitwise_mismatch(&handle, &sharded_handle);
-    let mut rps_1 = 0.0;
-    let mut rps_n = 0.0;
-    let mut shard_overhead_pct = f64::INFINITY;
-    for attempt in 1..=3 {
-        let flat_server = serve(
-            Arc::clone(&handle),
-            &ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                workers: 2,
-                cache_capacity: 64,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let flat = run_load(&LoadConfig {
-            addr: flat_server.addr().to_string(),
-            ..overhead_load.clone()
-        })
-        .unwrap();
-        flat_server.shutdown();
-        let sharded_server = serve(
-            Arc::clone(&sharded_handle),
-            &ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                workers: 2,
-                cache_capacity: 64,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let sharded = run_load(&LoadConfig {
-            addr: sharded_server.addr().to_string(),
-            ..overhead_load.clone()
-        })
-        .unwrap();
-        sharded_server.shutdown();
-        rps_1 = flat.throughput_rps;
-        rps_n = sharded.throughput_rps;
-        shard_overhead_pct = (1.0 - rps_n / rps_1) * 100.0;
-        if shard_overhead_pct <= 5.0 {
-            break;
-        }
-        println!("  sharding overhead {shard_overhead_pct:.2}% > 5% target on attempt {attempt}");
-    }
-    println!(
-        "  shards: 1-shard {rps_1:.0} req/s vs {SHARDS}-shard {rps_n:.0} req/s \
-         ({shard_overhead_pct:.2}% overhead, target <= 5%: {}), stores {}",
-        if shard_overhead_pct <= 5.0 {
-            "MET"
-        } else {
-            "MISSED"
-        },
-        if shard_mismatch.is_none() {
-            "BITWISE IDENTICAL"
-        } else {
-            "DIVERGED"
-        }
-    );
-
     // --- overload section ---------------------------------------------
     // Drive the server well past its capacity: 8 closed-loop connections
     // against 2 workers means a steady load (queued + in-flight) of ~8,
@@ -579,17 +487,6 @@ fn main() {
                 .finish(),
         )
         .raw(
-            "shards",
-            &Obj::new()
-                .int("shards", SHARDS as u64)
-                .num("rps_1", rps_1)
-                .num("rps_n", rps_n)
-                .num("overhead_pct", shard_overhead_pct)
-                .bool("within_5pct", shard_overhead_pct <= 5.0)
-                .bool("bitwise_identical", shard_mismatch.is_none())
-                .finish(),
-        )
-        .raw(
             "overload",
             &Obj::new()
                 .int("connections", overload_cfg.connections as u64)
@@ -620,12 +517,6 @@ fn main() {
     println!("  wrote BENCH_serve.json");
     if let Some(why) = mismatch {
         eprintln!("FAIL: recovered store is not bitwise identical: {why}");
-        std::process::exit(1);
-    }
-    if let Some(why) = shard_mismatch {
-        eprintln!(
-            "FAIL: {SHARDS}-shard store is not bitwise identical to the 1-shard store: {why}"
-        );
         std::process::exit(1);
     }
     if overhead_pct > 10.0 {

@@ -13,15 +13,13 @@ use crate::args::{parse, write_output, CliError};
 
 const USAGE: &str = "\
 qrank bench-load --addr <host:port> [options]
-qrank bench-load --series <file> [--shards N] [options]
+qrank bench-load --series <file> [options]
 
 options:
   --addr HOST:PORT   server to load (required unless --series is given)
   --series FILE      self-hosted mode: seed an in-process server from this
                      snapshot series (from `qrank simulate`) on an
                      ephemeral port, load it, then shut it down
-  --shards N         shard count for the self-hosted server (default 1;
-                     requires --series)
   --connections N    concurrent connections (default 4)
   --requests N       requests per connection (default 2500)
   --pipeline N       requests in flight per connection (default 8)
@@ -48,7 +46,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     let allowed = [
         "addr",
         "series",
-        "shards",
         "connections",
         "requests",
         "pipeline",
@@ -65,27 +62,16 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         println!("{USAGE}");
         return Ok(());
     }
-    if p.get("shards").is_some() && p.get("series").is_none() {
-        return Err(CliError::Usage(format!(
-            "--shards requires --series (self-hosted mode)\n\n{USAGE}"
-        )));
-    }
     if p.get("addr").is_some() && p.get("series").is_some() {
         return Err(CliError::Usage(format!(
             "--addr and --series are mutually exclusive\n\n{USAGE}"
-        )));
-    }
-    let shards: usize = p.get_or("shards", 1, USAGE)?;
-    if shards == 0 {
-        return Err(CliError::Usage(format!(
-            "--shards must be at least 1\n\n{USAGE}"
         )));
     }
     let server = match p.get("series") {
         Some(path) => {
             let bytes = std::fs::read(path)?;
             let series = decode_series(&bytes).map_err(|e| CliError::Runtime(e.to_string()))?;
-            let handle = Arc::new(ShardedStore::new(shards));
+            let handle = Arc::new(ShardedStore::new(1));
             // `from_series` publishes generation 1 before it returns; the
             // engine itself is not needed for a read-only load run.
             RefreshEngine::from_series(&series, RefreshConfig::default(), Arc::clone(&handle))
@@ -96,11 +82,7 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             };
             let server =
                 serve(handle, &server_cfg).map_err(|e| CliError::Runtime(e.to_string()))?;
-            eprintln!(
-                "self-hosted server on {} ({} shard(s))",
-                server.addr(),
-                shards
-            );
+            eprintln!("self-hosted server on {}", server.addr());
             Some(server)
         }
         None => None,
@@ -184,8 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn self_hosted_sharded_bench_runs_end_to_end() {
-        let dir = std::env::temp_dir().join("qrank_cli_test_bench_load_sharded");
+    fn self_hosted_bench_runs_end_to_end() {
+        let dir = std::env::temp_dir().join("qrank_cli_test_bench_load_self_hosted");
         std::fs::create_dir_all(&dir).unwrap();
         let series = dir.join("series.bin");
         crate::commands::simulate::run(&argv(&[
@@ -203,12 +185,10 @@ mod tests {
             "3",
         ]))
         .unwrap();
-        let out = dir.join("sharded.json");
+        let out = dir.join("load.json");
         run(&argv(&[
             "--series",
             series.to_str().unwrap(),
-            "--shards",
-            "4",
             "--connections",
             "2",
             "--requests",
@@ -228,11 +208,13 @@ mod tests {
             run(&argv(&["--addr", "127.0.0.1:1", "--connections", "none"])),
             Err(CliError::Usage(_))
         ));
-        // --shards only makes sense for a self-hosted server
-        assert!(matches!(
-            run(&argv(&["--addr", "127.0.0.1:1", "--shards", "2"])),
-            Err(CliError::Usage(_))
-        ));
+        assert!(
+            matches!(
+                run(&argv(&["--addr", "127.0.0.1:1", "--shards", "1"])),
+                Err(CliError::Usage(_))
+            ),
+            "--shards is gone"
+        );
         // nothing listens on this port
         assert!(run(&argv(&["--addr", "127.0.0.1:9", "--requests", "1"])).is_err());
     }

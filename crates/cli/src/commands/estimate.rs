@@ -253,8 +253,11 @@ mod tests {
         dir
     }
 
-    fn write_growing_snapshots() -> Vec<std::path::PathBuf> {
-        let dir = temp_dir();
+    /// One directory per test: tests run in parallel, and a rewrite
+    /// racing another test's read hands it a truncated snapshot.
+    fn write_growing_snapshots(test: &str) -> Vec<std::path::PathBuf> {
+        let dir = temp_dir().join(test);
+        std::fs::create_dir_all(&dir).unwrap();
         let snapshots = [
             "# nodes: 5\n0 1\n1 0\n2 0\n3 1\n",
             "# nodes: 5\n0 1\n1 0\n2 0\n3 1\n3 4\n",
@@ -274,7 +277,7 @@ mod tests {
 
     #[test]
     fn estimates_from_edge_list_snapshots() {
-        let files = write_growing_snapshots();
+        let files = write_growing_snapshots("estimates_from_edge_list_snapshots");
         let list = files
             .iter()
             .map(|p| p.to_str().unwrap().to_string())
@@ -328,7 +331,7 @@ mod tests {
 
     #[test]
     fn estimator_variants_run() {
-        let files = write_growing_snapshots();
+        let files = write_growing_snapshots("estimator_variants_run");
         let list = files
             .iter()
             .map(|p| p.to_str().unwrap().to_string())
@@ -360,7 +363,7 @@ mod tests {
 
     #[test]
     fn sliding_window_sweep_runs_and_validates() {
-        let files = write_growing_snapshots();
+        let files = write_growing_snapshots("sliding_window_sweep_runs_and_validates");
         let list = files
             .iter()
             .map(|p| p.to_str().unwrap().to_string())

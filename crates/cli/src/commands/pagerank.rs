@@ -132,8 +132,10 @@ mod tests {
         s.iter().map(|x| x.to_string()).collect()
     }
 
-    fn write_sample_graph() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("qrank_cli_test_pr");
+    /// One file per test: tests run in parallel, and a rewrite racing
+    /// another test's read hands it a truncated graph.
+    fn write_sample_graph(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("qrank_cli_test_pr").join(test);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.edges");
         std::fs::write(&path, "# nodes: 4\n0 1\n1 2\n2 0\n3 0\n").unwrap();
@@ -142,7 +144,7 @@ mod tests {
 
     #[test]
     fn scores_all_solvers() {
-        let path = write_sample_graph();
+        let path = write_sample_graph("scores_all_solvers");
         let dir = path.parent().unwrap();
         for solver in [
             "power",
@@ -171,7 +173,7 @@ mod tests {
 
     #[test]
     fn top_k_limits_output() {
-        let path = write_sample_graph();
+        let path = write_sample_graph("top_k_limits_output");
         let out = path.parent().unwrap().join("top.tsv");
         run(&argv(&[
             "--graph",
@@ -187,7 +189,7 @@ mod tests {
 
     #[test]
     fn trace_writes_one_residual_per_iteration() {
-        let path = write_sample_graph();
+        let path = write_sample_graph("trace_writes_one_residual_per_iteration");
         let dir = path.parent().unwrap();
         for solver in ["power", "auto"] {
             let trace = dir.join(format!("{solver}.trace.tsv"));
@@ -211,7 +213,7 @@ mod tests {
 
     #[test]
     fn trace_rejects_solvers_without_residuals() {
-        let path = write_sample_graph();
+        let path = write_sample_graph("trace_rejects_solvers_without_residuals");
         assert!(matches!(
             run(&argv(&[
                 "--graph",
@@ -235,7 +237,7 @@ mod tests {
 
     #[test]
     fn bad_solver_is_usage_error() {
-        let path = write_sample_graph();
+        let path = write_sample_graph("bad_solver_is_usage_error");
         assert!(matches!(
             run(&argv(&[
                 "--graph",

@@ -61,12 +61,6 @@ options:
   --series FILE      binary snapshot series from `qrank simulate` (required)
   --addr HOST:PORT   bind address (default 127.0.0.1:7878; port 0 = ephemeral)
   --workers N        request worker threads (default 4)
-  --shards N         partition the score store into N shards (default 1);
-                     `score` dispatches to the owning shard, `topk`/`stats`
-                     scatter-gather — responses are bitwise identical at
-                     every N. With --data-dir, each shard keeps its own
-                     WAL subtree; the shard count of an existing data
-                     directory must match.
   --threads T        stage-engine align/solver worker threads (default:
                      QRANK_THREADS or available parallelism; output is
                      bitwise identical at every setting)
@@ -130,7 +124,7 @@ protocol (line-delimited JSON over TCP):
   | shutdown
   (`metrics` answers in Prometheus text format, terminated by `# EOF`;
   `trace` takes: slowest [verb] | id <n> | slo | report; `ready` reports
-  readiness — false until a sealed generation exists or while draining;
+  readiness — false until a generation is published or while draining;
   `shutdown` acks and starts a graceful drain)";
 
 /// Entry point.
@@ -139,7 +133,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         "series",
         "addr",
         "workers",
-        "shards",
         "threads",
         "cache",
         "deltas",
@@ -215,19 +208,13 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         None => Vec::new(),
     };
 
-    let shards: usize = p.get_or("shards", 1, USAGE)?;
-    if shards == 0 || shards > 1024 {
-        return Err(CliError::Usage(format!(
-            "--shards must be in 1..=1024, got {shards}\n\n{USAGE}"
-        )));
-    }
     let wal_retries: u32 = p.get_or("wal-retries", 5, USAGE)?;
     if wal_retries == 0 {
         return Err(CliError::Usage(format!(
             "--wal-retries must be at least 1 (1 = no retry)\n\n{USAGE}"
         )));
     }
-    let handle = Arc::new(ShardedStore::new(shards));
+    let handle = Arc::new(ShardedStore::new(1));
     let mut engine = match p.get("data-dir") {
         Some(data_dir) => {
             let fsync: FsyncPolicy = p
@@ -287,11 +274,10 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     }
     let seeded = engine.stage_stats();
     eprintln!(
-        "serving {} pages (generation {}, window of {} snapshots, {} shard(s)) on {}",
+        "serving {} pages (generation {}, window of {} snapshots) on {}",
         store.len(),
         store.generation(),
         series.len(),
-        shards,
         server.addr()
     );
     eprintln!(
@@ -517,50 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_durable_serve_recovers_across_restarts() {
-        let dir = temp_dir();
-        let series_path = dir.join("sharded.bin");
-        let data_dir = dir.join("sharded_wal");
-        let _ = std::fs::remove_dir_all(&data_dir);
-        write_series(&series_path);
-        let args = argv(&[
-            "--series",
-            series_path.to_str().unwrap(),
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "1",
-            "--shards",
-            "2",
-            "--duration",
-            "1",
-            "--data-dir",
-            data_dir.to_str().unwrap(),
-            "--fsync",
-            "never",
-        ]);
-        run(&args).unwrap();
-        assert!(
-            data_dir.join("shard-000").is_dir() && data_dir.join("shard-001").is_dir(),
-            "sharded data dir must hold per-shard subtrees"
-        );
-        crate::commands::wal::run(&argv(&[
-            "--dir",
-            data_dir.to_str().unwrap(),
-            "--op",
-            "verify",
-        ]))
-        .unwrap();
-        run(&args).unwrap();
-        // reopening with a different shard count must refuse, not reshard
-        let mut mismatched = args.clone();
-        let at = mismatched.iter().position(|a| a == "--shards").unwrap();
-        mismatched[at + 1] = "3".to_string();
-        assert!(run(&mismatched).is_err());
-        std::fs::remove_dir_all(&data_dir).unwrap();
-    }
-
-    #[test]
     fn input_validation() {
         assert!(matches!(run(&argv(&[])), Err(CliError::Usage(_))));
         assert!(matches!(
@@ -568,5 +510,12 @@ mod tests {
             Err(CliError::Usage(_))
         ));
         assert!(run(&argv(&["--series", "/nonexistent/series.bin"])).is_err());
+        assert!(
+            matches!(
+                run(&argv(&["--series", "x", "--shards", "1"])),
+                Err(CliError::Usage(_))
+            ),
+            "--shards is gone"
+        );
     }
 }

@@ -7,6 +7,7 @@
 
 use std::path::Path;
 
+use qrank_serve::durability::reject_sharded_layout;
 use qrank_wal::{decode_delta, inspect, scan, Wal, WalOptions};
 
 use crate::args::{parse, CliError};
@@ -18,10 +19,8 @@ options:
   --dir DIR   WAL directory (as given to `qrank serve --data-dir`) (required)
   --op OP     inspect | verify | compact (default inspect)
 
-a data directory written by `qrank serve --shards N` (N > 1) holds one
-`shard-NNN/` WAL subtree per shard; the op is applied to every subtree
-automatically, and `verify` additionally checks the cross-shard
-invariant (no shard's log may end before shard 000's checkpoint).
+a directory holding `shard-000/` (a sharded journal from an older
+release) is refused: sharded journals are no longer read.
 
 ops:
   inspect  list segments and checkpoints with record counts (read-only)
@@ -44,99 +43,12 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             "unknown op `{op}` (expected inspect, verify, or compact)\n\n{USAGE}"
         )));
     }
-    let shards = shard_subtrees(dir)?;
-    if shards.is_empty() {
-        return match op {
-            "inspect" => run_inspect(dir),
-            "verify" => run_verify(dir),
-            _ => run_compact(dir),
-        };
+    reject_sharded_layout(dir).map_err(|e| CliError::Runtime(e.to_string()))?;
+    match op {
+        "inspect" => run_inspect(dir),
+        "verify" => run_verify(dir),
+        _ => run_compact(dir),
     }
-    println!("sharded data directory: {} shard subtree(s)", shards.len());
-    for (i, sub) in shards.iter().enumerate() {
-        println!("-- shard {i:03} --");
-        match op {
-            "inspect" => run_inspect(sub)?,
-            "verify" => run_verify(sub)?,
-            _ => run_compact(sub)?,
-        }
-    }
-    if op == "verify" {
-        verify_ensemble(&shards)?;
-    }
-    Ok(())
-}
-
-/// Detect `shard-NNN/` subtrees under `dir`. An empty result means a
-/// flat (unsharded) layout; a non-contiguous numbering is an error.
-fn shard_subtrees(dir: &Path) -> Result<Vec<std::path::PathBuf>, CliError> {
-    let mut found: Vec<(usize, std::path::PathBuf)> = Vec::new();
-    if dir.is_dir() {
-        for entry in std::fs::read_dir(dir).map_err(|e| CliError::Runtime(e.to_string()))? {
-            let entry = entry.map_err(|e| CliError::Runtime(e.to_string()))?;
-            let name = entry.file_name();
-            let Some(rest) = name.to_str().and_then(|n| n.strip_prefix("shard-")) else {
-                continue;
-            };
-            if let Ok(i) = rest.parse::<usize>() {
-                if entry.path().is_dir() {
-                    found.push((i, entry.path()));
-                }
-            }
-        }
-    }
-    found.sort();
-    for (want, (got, path)) in found.iter().enumerate() {
-        if *got != want {
-            return Err(CliError::Runtime(format!(
-                "shard subtrees are not contiguous from shard-000: found {}",
-                path.display()
-            )));
-        }
-    }
-    Ok(found.into_iter().map(|(_, p)| p).collect())
-}
-
-/// The cross-shard invariant recovery relies on: shard 000's newest
-/// valid checkpoint at LSN L promises every shard is durable through L
-/// (the ensemble syncs all shards before shard 0 checkpoints), so a
-/// shard log ending before L is corruption, while logs ending at
-/// *different* LSNs past L are expected crash overhang that recovery
-/// truncates to the common horizon.
-fn verify_ensemble(shards: &[std::path::PathBuf]) -> Result<(), CliError> {
-    let mut next_lsns = Vec::with_capacity(shards.len());
-    let mut ckpt0 = None;
-    for (i, sub) in shards.iter().enumerate() {
-        let insp = inspect(sub).map_err(|e| CliError::Runtime(e.to_string()))?;
-        next_lsns.push(insp.segments.last().map_or(0, |s| s.first_lsn + s.records));
-        if i == 0 {
-            ckpt0 = insp
-                .checkpoints
-                .iter()
-                .rev()
-                .find(|c| c.valid)
-                .map(|c| c.lsn);
-        }
-    }
-    let horizon = next_lsns.iter().copied().min().unwrap_or(0);
-    if let Some(lsn) = ckpt0 {
-        if let Some((i, &short)) = next_lsns.iter().enumerate().find(|&(_, &n)| n < lsn) {
-            return Err(CliError::Runtime(format!(
-                "shard {i:03} log ends at LSN {short}, before shard 000's checkpoint at LSN {lsn}"
-            )));
-        }
-    }
-    if next_lsns.iter().any(|&n| n != horizon) {
-        println!(
-            "note: shard logs end at different LSNs {next_lsns:?}; \
-             recovery will truncate to the common horizon {horizon}"
-        );
-    }
-    println!(
-        "ok: ensemble of {} shard(s) coherent through LSN {horizon}",
-        shards.len()
-    );
-    Ok(())
 }
 
 fn run_inspect(dir: &Path) -> Result<(), CliError> {
@@ -321,45 +233,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_layout_is_detected_and_each_subtree_verified() {
+    fn sharded_data_dirs_are_refused() {
         let dir = tmpdir("sharded");
-        // Aligned ensemble: 4 records on each of 2 shards, a full
-        // checkpoint on shard 0 at LSN 3 and a lag-one marker on shard 1.
-        build_log(&dir.join("shard-000"), 4, Some(3));
-        build_log(&dir.join("shard-001"), 4, None);
+        build_log(&dir.join("shard-000"), 2, None);
         let d = dir.to_str().unwrap();
-        run(&argv(&["--dir", d])).unwrap();
-        run(&argv(&["--dir", d, "--op", "verify"])).unwrap();
-        run(&argv(&["--dir", d, "--op", "compact"])).unwrap();
-        run(&argv(&["--dir", d, "--op", "verify"])).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sharded_verify_rejects_a_shard_lagging_the_checkpoint() {
-        let dir = tmpdir("sharded_lag");
-        // Shard 0 checkpoints at LSN 5 but shard 1's log ends at 2: the
-        // ensemble promise (all shards durable through the checkpoint)
-        // is broken.
-        build_log(&dir.join("shard-000"), 6, Some(5));
-        build_log(&dir.join("shard-001"), 2, None);
-        let d = dir.to_str().unwrap();
-        assert!(matches!(
-            run(&argv(&["--dir", d, "--op", "verify"])),
-            Err(CliError::Runtime(_))
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn non_contiguous_shard_numbering_is_rejected() {
-        let dir = tmpdir("sharded_gap");
-        build_log(&dir.join("shard-000"), 1, None);
-        build_log(&dir.join("shard-002"), 1, None);
-        assert!(matches!(
-            run(&argv(&["--dir", dir.to_str().unwrap()])),
-            Err(CliError::Runtime(_))
-        ));
+        for op in ["inspect", "verify", "compact"] {
+            match run(&argv(&["--dir", d, "--op", op])) {
+                Err(CliError::Runtime(msg)) => {
+                    assert!(msg.starts_with("bad configuration:"), "{msg}");
+                    assert!(msg.contains(d), "{msg}");
+                    assert!(msg.contains("sharded journals are no longer read"), "{msg}");
+                }
+                other => panic!("{op} on a sharded dir: {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

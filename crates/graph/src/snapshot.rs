@@ -17,14 +17,12 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CsrGraph, GraphError, NodeId};
 
 /// Stable external identity of a page (URL hash in a real crawler; the
 /// simulator's page index here). Unlike [`NodeId`], a `PageId` means the
 /// same page in every snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(pub u64);
 
 impl std::fmt::Display for PageId {

@@ -1,7 +1,5 @@
 //! Model parameters and validation.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors when constructing model parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelError {
@@ -43,7 +41,7 @@ impl std::error::Error for ModelError {}
 /// * **Proposition 2 (random-visit)**: each visit is made by a uniformly
 ///   random one of the `n` web users.
 /// * The page's quality `Q(p)` is constant over time (Definition 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     /// Page quality `Q(p) ∈ (0, 1]` — the probability a newly-aware user
     /// likes the page and links to it.
@@ -217,15 +215,8 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn debug_shows_field_values() {
         let p = ModelParams::figure1();
-        let json = serde_json_like(&p);
-        assert!(json.contains("0.8"));
-    }
-
-    /// Minimal serialization smoke test without pulling serde_json: use
-    /// the Debug representation which reflects all serialized fields.
-    fn serde_json_like(p: &ModelParams) -> String {
-        format!("{p:?}")
+        assert!(format!("{p:?}").contains("0.8"));
     }
 }

@@ -1,9 +1,7 @@
 //! Minimal hand-rolled JSON emission.
 //!
 //! The wire protocol is line-delimited JSON and every payload is flat or
-//! one level deep, so a tiny builder beats pulling in a full serializer
-//! (the workspace's `serde` is an offline marker shim with no
-//! `serde_json` companion).
+//! one level deep, so a tiny builder beats pulling in a full serializer.
 
 /// Escape a string for inclusion inside JSON double quotes.
 pub fn escape(s: &str) -> String {

@@ -6,63 +6,14 @@
 //! periodically checkpoints its full state so recovery replays only a
 //! short WAL tail. This module owns the glue: delta ↔ WAL-record
 //! conversion, the checkpoint payload codec, and the journal
-//! bookkeeping around the raw log(s).
+//! bookkeeping around the raw log.
 //!
-//! ## Flat and sharded layouts
+//! ## Layout
 //!
-//! A single-shard engine keeps the original layout — segments and
-//! checkpoints directly under `--data-dir`, records in the slotless v1
-//! codec, byte-compatible with logs written before sharding existed. An
-//! N-shard engine (N > 1) turns `--data-dir` into a directory of
-//! per-shard WAL subtrees:
-//!
-//! ```text
-//! data/
-//!   shard-000/seg-*.wal  ckpt-*.ck     (full-state checkpoints)
-//!   shard-001/seg-*.wal  ckpt-*.ck     (marker checkpoints)
-//!   ...
-//! ```
-//!
-//! Every ingested delta appends exactly one record — possibly empty —
-//! to *every* shard's log (see `crate::shard::partition_delta`), so the
-//! per-shard LSN sequences stay aligned one-to-one and LSN `i` on every
-//! shard is partition `i` of the same global delta. The layouts are
-//! mutually exclusive: opening a sharded tree with the wrong shard
-//! count, or a flat log with `--shards N`, is a configuration error,
-//! not a silent reshard.
-//!
-//! ## The ensemble checkpoint protocol
-//!
-//! One checkpoint cycle at LSN `L` (the aligned head):
-//!
-//! 1. **sync every shard's log** — all records below `L` reach stable
-//!    storage on every shard first;
-//! 2. shard 0 gets the **full state checkpoint** at `L`;
-//! 3. shards 1..N get a small **marker** checkpoint at the *previous*
-//!    full checkpoint's LSN (0 on the first cycle).
-//!
-//! Step 1 before step 2 gives the crash invariant: *if shard 0's
-//! checkpoint at `L` is durable, every shard is durable through `L`* —
-//! so recovery, whose replay starts at shard 0's checkpoint, always
-//! finds the records it needs on every shard. The markers lag one cycle
-//! so that if shard 0's newest checkpoint fails validation and recovery
-//! falls back to the previous one (the WAL keeps two), the other shards
-//! still retain the records that older checkpoint needs — compaction on
-//! each shard only drops segments its own newest checkpoint covers.
-//!
-//! ## Recovery
-//!
-//! Shard logs are opened in parallel (deterministic indexed-slot scoped
-//! threads). The replay horizon is the *minimum* head LSN across shards
-//! — a crash between per-shard appends can leave some shards one record
-//! ahead; those overhanging records were never applied (write-ahead
-//! covers the whole ensemble append) and are physically truncated with
-//! [`qrank_wal::Wal::truncate_to`]. Shard 0's checkpoint payload is the
-//! single authority for engine state (markers are ignored); the
-//! per-shard record streams from its LSN to the horizon are zip-merged
-//! by LSN back into global deltas via the slot arrays, reproducing the
-//! exact pre-crash interleaving — node numbering, float summation
-//! order, and therefore published score bits.
+//! Segments and checkpoints sit directly under `--data-dir` (see
+//! [`qrank_wal`]). Older releases could split the journal into
+//! `shard-NNN/` subtrees; a directory holding `shard-000/` is refused
+//! with [`ServeError::Config`] rather than read as an empty journal.
 //!
 //! ## What a checkpoint stores
 //!
@@ -82,10 +33,9 @@
 //! stage engine's fingerprint-keyed caching discipline (equal snapshots
 //! ⇒ equal columns, bit for bit), a recovered engine publishes exactly
 //! the scores the uninterrupted process would have — the recovery tests
-//! assert this down to the last bit, sharded and flat.
+//! assert this down to the last bit.
 
 use std::collections::BTreeSet;
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut, BytesMut};
@@ -94,14 +44,12 @@ use qrank_wal::{DeltaRecord, FsyncPolicy, Wal, WalError, WalOptions, WalStats};
 
 use crate::error::ServeError;
 use crate::refresh::EdgeDelta;
-use crate::shard::{merge_partitions, partition_delta};
 
 /// How the refresh engine persists its ingest stream.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Directory holding WAL segments and checkpoints (created if
-    /// absent). With more than one shard this becomes a directory of
-    /// `shard-NNN/` WAL subtrees.
+    /// absent).
     pub dir: PathBuf,
     /// When journal appends reach stable storage.
     pub fsync: FsyncPolicy,
@@ -128,23 +76,15 @@ pub struct RecoveryReport {
     /// Generation restored from the checkpoint (`None`: no checkpoint,
     /// the log was replayed from the beginning).
     pub checkpoint_generation: Option<u64>,
-    /// WAL records replayed on top of the checkpoint (global deltas; a
-    /// sharded journal counts each merged delta once).
+    /// WAL records replayed on top of the checkpoint.
     pub replayed_records: u64,
-    /// Why a newest segment's tail was truncated, if one was (sharded
-    /// journals prefix the shard index).
+    /// Why the newest segment's tail was truncated, if it was.
     pub torn_tail: Option<String>,
-    /// Checkpoints that failed validation and were skipped, across all
-    /// shards.
+    /// Checkpoints that failed validation and were skipped.
     pub skipped_checkpoints: u64,
     /// Replayed deltas the engine rejected (exactly as the original
     /// process rejected them — state is unaffected either way).
     pub replay_errors: Vec<String>,
-    /// Shards in the journal layout (1 = flat).
-    pub shards: usize,
-    /// Overhanging records cut back to the cross-shard horizon — the
-    /// tail of an ensemble append interrupted between shards.
-    pub truncated_records: u64,
 }
 
 /// Bounded exponential-backoff retry for *transient* journal I/O
@@ -159,9 +99,7 @@ pub struct RecoveryReport {
 ///
 /// Retry soundness: [`qrank_wal::Wal::append`] rolls a partially
 /// written frame back before returning an error, so a retried append
-/// always lands on a clean tail; a sharded journal retries each
-/// shard's append independently, so shards that already took the
-/// record are never appended twice.
+/// always lands on a clean tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per operation (0 or 1 = no retry).
@@ -256,115 +194,46 @@ fn with_retry<T>(
     }
 }
 
-/// Marker payload for the lagging checkpoints on shards 1..N. Never
-/// decoded — shard 0's payload is the only engine-state authority.
-const SHARD_CKPT_MARKER: &[u8] = b"qrank sharded-journal marker";
-
-/// Subdirectory of one shard's WAL subtree.
-pub(crate) fn shard_dir(root: &Path, shard: usize) -> PathBuf {
-    root.join(format!("shard-{shard:03}"))
-}
-
-/// Shard subtrees present under `root` (`shard-000`, `shard-001`, …),
-/// validated contiguous from zero. `Ok(0)` means no shard subtrees (a
-/// flat or empty directory).
-pub(crate) fn detect_shard_layout(root: &Path) -> Result<usize, ServeError> {
-    let mut found: Vec<usize> = Vec::new();
-    if root.is_dir() {
-        for entry in std::fs::read_dir(root).map_err(|e| ServeError::Wal(e.into()))? {
-            let entry = entry.map_err(|e| ServeError::Wal(e.into()))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(n) = name
-                .strip_prefix("shard-")
-                .and_then(|s| s.parse::<usize>().ok())
-            {
-                found.push(n);
-            }
-        }
+/// Refuse a data dir written by a sharded release: its journal lives
+/// in `shard-NNN/` subtrees this build does not read, and opening the
+/// top level would silently start an empty journal beside it.
+pub fn reject_sharded_layout(dir: &Path) -> Result<(), ServeError> {
+    if dir.join("shard-000").is_dir() {
+        return Err(ServeError::Config(format!(
+            "data dir {} holds a sharded journal (shard-000/); \
+             sharded journals are no longer read",
+            dir.display()
+        )));
     }
-    found.sort_unstable();
-    for (i, &s) in found.iter().enumerate() {
-        if i != s {
-            return Err(ServeError::Config(format!(
-                "data dir {} has a gap in its shard subtrees (missing shard-{i:03})",
-                root.display()
-            )));
-        }
-    }
-    Ok(found.len())
+    Ok(())
 }
 
-fn has_flat_wal_files(root: &Path) -> bool {
-    let Ok(entries) = std::fs::read_dir(root) else {
-        return false;
-    };
-    entries.flatten().any(|e| {
-        e.file_name()
-            .to_str()
-            .is_some_and(|n| n.starts_with("seg-") || n.starts_with("ckpt-"))
-    })
-}
-
-/// The engine's handle on its write-ahead log ensemble: one [`Wal`] per
-/// shard (a flat journal is the one-shard case) plus the
-/// automatic-checkpoint countdown and the lag-one marker position.
+/// The engine's handle on its write-ahead log plus the
+/// automatic-checkpoint countdown.
 #[derive(Debug)]
 pub(crate) struct Journal {
-    wals: Vec<Wal>,
+    wal: Wal,
     checkpoint_every: u64,
     since_checkpoint: u64,
-    prev_full_ckpt_lsn: u64,
     retry: RetryPolicy,
     /// Cumulative backoffs taken — salts the jitter and feeds stats.
     retries: u64,
 }
 
 impl Journal {
-    pub(crate) fn new(wals: Vec<Wal>, checkpoint_every: u64, prev_full_ckpt_lsn: u64) -> Self {
-        assert!(!wals.is_empty(), "a journal needs at least one log");
-        Journal {
-            wals,
-            checkpoint_every,
-            since_checkpoint: 0,
-            prev_full_ckpt_lsn,
-            retry: RetryPolicy::default(),
-            retries: 0,
-        }
-    }
-
     /// Install a retry policy for transient append/sync I/O errors.
     pub(crate) fn set_retry(&mut self, policy: RetryPolicy) {
         self.retry = policy;
     }
 
-    fn shards(&self) -> usize {
-        self.wals.len()
-    }
-
     /// Append one delta (write-ahead: callers do this *before* mutating
-    /// engine state). A sharded journal appends one partition record to
-    /// every shard's log, keeping their LSN sequences aligned.
-    ///
-    /// Transient I/O errors are retried per the installed
-    /// [`RetryPolicy`] — per shard, so a partial ensemble append only
-    /// ever retries the shards that haven't taken the record yet
-    /// ([`Wal::append`] rolls back its own partial frames).
+    /// engine state). Transient I/O errors are retried per the installed
+    /// [`RetryPolicy`] ([`Wal::append`] rolls back its own partial
+    /// frames).
     pub(crate) fn append(&mut self, delta: &EdgeDelta) -> Result<(), WalError> {
-        if self.shards() == 1 {
-            // Slotless record — encodes as v1, byte-identical to
-            // pre-sharding journals.
-            let frame = qrank_wal::encode_delta(&record_of_delta(delta));
-            let wal = &mut self.wals[0];
-            with_retry(&self.retry, &mut self.retries, || wal.append(&frame))?;
-        } else {
-            let parts = partition_delta(delta, self.shards());
-            for (shard, part) in parts.iter().enumerate() {
-                let frame = qrank_wal::encode_delta(part);
-                let wal = &mut self.wals[shard];
-                with_retry(&self.retry, &mut self.retries, || wal.append(&frame))?;
-            }
-        }
+        let frame = qrank_wal::encode_delta(&record_of_delta(delta));
+        let wal = &mut self.wal;
+        with_retry(&self.retry, &mut self.retries, || wal.append(&frame))?;
         self.since_checkpoint += 1;
         Ok(())
     }
@@ -374,58 +243,30 @@ impl Journal {
         self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every
     }
 
-    /// Write a checkpoint with `payload` and compact. Returns the LSN of
-    /// the full-state checkpoint (shard 0's).
-    ///
-    /// Sharded order matters: every shard's log is synced *before* shard
-    /// 0's checkpoint is written, so a durable shard-0 checkpoint at `L`
-    /// implies every shard is durable through `L`; shards 1..N then take
-    /// marker checkpoints at the previous full checkpoint's LSN (see
-    /// module docs for why they lag one cycle).
+    /// Write a checkpoint with `payload` and compact. Returns its LSN.
     pub(crate) fn checkpoint(&mut self, payload: &[u8]) -> Result<u64, WalError> {
-        if self.shards() > 1 {
-            for wal in self.wals.iter_mut() {
-                wal.sync()?;
-            }
-        }
-        let lsn = self.wals[0].checkpoint(payload)?;
-        let marker_lsn = self.prev_full_ckpt_lsn;
-        for wal in self.wals.iter_mut().skip(1) {
-            wal.checkpoint_at(marker_lsn, SHARD_CKPT_MARKER)?;
-        }
-        self.prev_full_ckpt_lsn = lsn;
+        let lsn = self.wal.checkpoint(payload)?;
         self.since_checkpoint = 0;
         Ok(lsn)
     }
 
-    /// Flush outstanding appends on every shard to stable storage.
-    /// Transient I/O errors retry per the installed [`RetryPolicy`]
-    /// (`sync` is idempotent, so whole-call retry is safe).
+    /// Flush outstanding appends to stable storage. Transient I/O errors
+    /// retry per the installed [`RetryPolicy`] (`sync` is idempotent, so
+    /// whole-call retry is safe).
     pub(crate) fn sync(&mut self) -> Result<(), WalError> {
-        for wal in self.wals.iter_mut() {
-            with_retry(&self.retry, &mut self.retries, || wal.sync())?;
-        }
-        Ok(())
+        let wal = &mut self.wal;
+        with_retry(&self.retry, &mut self.retries, || wal.sync())
     }
 
-    /// Aggregate journal geometry: head LSN is the (aligned) minimum,
-    /// sizes sum across shards, the checkpoint LSN is shard 0's (the
-    /// full-state one).
+    /// Journal geometry.
     pub(crate) fn stats(&self) -> WalStats {
-        let mut agg = self.wals[0].stats();
-        for wal in &self.wals[1..] {
-            let s = wal.stats();
-            agg.next_lsn = agg.next_lsn.min(s.next_lsn);
-            agg.segments += s.segments;
-            agg.active_segment_bytes += s.active_segment_bytes;
-        }
-        agg
+        self.wal.stats()
     }
 }
 
 /// Everything [`open_journal`] recovered: the journal to keep writing
-/// through, the authoritative checkpoint payload (shard 0's), the
-/// merged global deltas to replay in LSN order, and the report.
+/// through, the newest valid checkpoint payload, the deltas to replay
+/// in LSN order, and the report.
 pub(crate) struct OpenedJournal {
     pub(crate) journal: Journal,
     pub(crate) checkpoint: Option<Vec<u8>>,
@@ -433,53 +274,14 @@ pub(crate) struct OpenedJournal {
     pub(crate) report: RecoveryReport,
 }
 
-/// Open (and recover) the journal under `cfg.dir` with `shards` shards.
-///
-/// Refuses to reinterpret an existing directory under a different shard
-/// count — resharding is a migration, not an open-time default.
-pub(crate) fn open_journal(
-    cfg: &DurabilityConfig,
-    shards: usize,
-) -> Result<OpenedJournal, ServeError> {
-    let shards = shards.max(1);
-    std::fs::create_dir_all(&cfg.dir).map_err(|e| ServeError::Wal(e.into()))?;
-    let existing = detect_shard_layout(&cfg.dir)?;
-    if shards == 1 {
-        if existing > 0 {
-            return Err(ServeError::Config(format!(
-                "data dir {} holds a {existing}-shard journal; pass --shards {existing}",
-                cfg.dir.display()
-            )));
-        }
-        open_flat(cfg)
-    } else {
-        if existing == 0 && has_flat_wal_files(&cfg.dir) {
-            return Err(ServeError::Config(format!(
-                "data dir {} holds an unsharded journal; open it with --shards 1",
-                cfg.dir.display()
-            )));
-        }
-        if existing > 0 && existing != shards {
-            return Err(ServeError::Config(format!(
-                "data dir {} holds a {existing}-shard journal but --shards {shards} was requested \
-                 (resharding requires a fresh data dir)",
-                cfg.dir.display()
-            )));
-        }
-        open_sharded(cfg, shards)
-    }
-}
-
-fn wal_options(cfg: &DurabilityConfig) -> WalOptions {
-    WalOptions {
+/// Open (and recover) the journal under `cfg.dir`.
+pub(crate) fn open_journal(cfg: &DurabilityConfig) -> Result<OpenedJournal, ServeError> {
+    reject_sharded_layout(&cfg.dir)?;
+    let opts = WalOptions {
         fsync: cfg.fsync,
         ..WalOptions::default()
-    }
-}
-
-fn open_flat(cfg: &DurabilityConfig) -> Result<OpenedJournal, ServeError> {
-    let (wal, recovery) = Wal::open(&cfg.dir, wal_options(cfg))?;
-    let ckpt_lsn = recovery.checkpoint.as_ref().map_or(0, |c| c.lsn);
+    };
+    let (wal, recovery) = Wal::open(&cfg.dir, opts)?;
     let mut deltas = Vec::with_capacity(recovery.records.len());
     for (lsn, payload) in &recovery.records {
         deltas.push((*lsn, delta_of_record(qrank_wal::decode_delta(payload)?)));
@@ -487,128 +289,34 @@ fn open_flat(cfg: &DurabilityConfig) -> Result<OpenedJournal, ServeError> {
     let report = RecoveryReport {
         torn_tail: recovery.torn_tail,
         skipped_checkpoints: recovery.skipped_checkpoints,
-        shards: 1,
         ..RecoveryReport::default()
     };
     Ok(OpenedJournal {
-        journal: Journal::new(vec![wal], cfg.checkpoint_every, ckpt_lsn),
+        journal: Journal {
+            wal,
+            checkpoint_every: cfg.checkpoint_every,
+            since_checkpoint: 0,
+            retry: RetryPolicy::default(),
+            retries: 0,
+        },
         checkpoint: recovery.checkpoint.map(|c| c.payload),
         deltas,
         report,
     })
 }
 
-fn open_sharded(cfg: &DurabilityConfig, shards: usize) -> Result<OpenedJournal, ServeError> {
-    let _span = qrank_obs::span!("shard.wal_open");
-    let opts = wal_options(cfg);
-    // Parallel opens into indexed slots: the scoped-thread pattern keeps
-    // the result order (and everything derived from it) deterministic.
-    let mut slots: Vec<Option<Result<(Wal, qrank_wal::Recovery), WalError>>> = Vec::new();
-    slots.resize_with(shards, || None);
-    std::thread::scope(|scope| {
-        for (shard, slot) in slots.iter_mut().enumerate() {
-            let dir = shard_dir(&cfg.dir, shard);
-            let opts = opts.clone();
-            scope.spawn(move || {
-                *slot = Some(Wal::open(&dir, opts));
-            });
-        }
-    });
-    let mut wals = Vec::with_capacity(shards);
-    let mut recoveries = Vec::with_capacity(shards);
-    for (shard, slot) in slots.into_iter().enumerate() {
-        let (wal, recovery) = slot
-            .unwrap_or_else(|| panic!("shard {shard} open thread produced no result"))
-            .map_err(ServeError::Wal)?;
-        wals.push(wal);
-        recoveries.push(recovery);
-    }
-
-    let mut report = RecoveryReport {
-        shards,
-        ..RecoveryReport::default()
-    };
-    for (shard, rec) in recoveries.iter().enumerate() {
-        report.skipped_checkpoints += rec.skipped_checkpoints;
-        if let Some(reason) = &rec.torn_tail {
-            let prefixed = format!("shard {shard}: {reason}");
-            report.torn_tail = Some(match report.torn_tail.take() {
-                Some(prev) => format!("{prev}; {prefixed}"),
-                None => prefixed,
-            });
-        }
-    }
-
-    // The replay horizon: a crash between per-shard appends leaves some
-    // shards one record ahead. Those records were never applied
-    // (write-ahead covers the whole ensemble append), so cut them.
-    let horizon = wals
-        .iter()
-        .map(|w| w.next_lsn())
-        .min()
-        .expect("shards >= 1");
-    for wal in wals.iter_mut() {
-        report.truncated_records += wal.truncate_to(horizon).map_err(ServeError::Wal)?;
-    }
-
-    // Shard 0's checkpoint is the engine-state authority; the other
-    // shards' markers only steer their local retention.
-    let checkpoint = recoveries[0].checkpoint.take();
-    let start = checkpoint.as_ref().map_or(0, |c| c.lsn);
-
-    let mut streams: Vec<VecDeque<(u64, Vec<u8>)>> = recoveries
-        .iter_mut()
-        .map(|rec| {
-            std::mem::take(&mut rec.records)
-                .into_iter()
-                .filter(|(lsn, _)| *lsn >= start && *lsn < horizon)
-                .collect()
-        })
-        .collect();
-    let mut deltas = Vec::with_capacity((horizon.saturating_sub(start)) as usize);
-    for lsn in start..horizon {
-        let mut parts = Vec::with_capacity(shards);
-        for (shard, stream) in streams.iter_mut().enumerate() {
-            match stream.pop_front() {
-                Some((l, payload)) if l == lsn => {
-                    parts.push(qrank_wal::decode_delta(&payload)?);
-                }
-                other => {
-                    return Err(ServeError::Config(format!(
-                        "shard {shard} journal is missing record {lsn} (found {:?}); \
-                         the shard logs disagree",
-                        other.map(|(l, _)| l)
-                    )));
-                }
-            }
-        }
-        let delta = merge_partitions(&parts)
-            .map_err(|e| ServeError::Config(format!("merging shard records at lsn {lsn}: {e}")))?;
-        deltas.push((lsn, delta));
-    }
-
-    Ok(OpenedJournal {
-        journal: Journal::new(wals, cfg.checkpoint_every, start),
-        checkpoint: checkpoint.map(|c| c.payload),
-        deltas,
-        report,
-    })
-}
-
 /// Serving-layer delta → journal record (field-identical twins; the WAL
-/// crate cannot depend on this one). Slotless: the flat-journal form.
+/// crate cannot depend on this one).
 pub(crate) fn record_of_delta(d: &EdgeDelta) -> DeltaRecord {
     DeltaRecord {
         time: d.time,
         new_pages: d.new_pages.clone(),
         added: d.added.clone(),
         removed: d.removed.clone(),
-        ..DeltaRecord::default()
     }
 }
 
-/// Journal record → serving-layer delta (slot arrays, if any, are the
-/// merge layer's concern and dropped here).
+/// Journal record → serving-layer delta.
 pub(crate) fn delta_of_record(r: DeltaRecord) -> EdgeDelta {
     EdgeDelta {
         time: r.time,
@@ -774,107 +482,12 @@ mod tests {
             removed: vec![(3, 4)],
         };
         assert_eq!(delta_of_record(record_of_delta(&delta)), delta);
-        assert!(
-            !record_of_delta(&delta).has_slots(),
-            "flat journal records must stay in the v1 codec"
-        );
     }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("qrank_dur_{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    fn cfg(dir: &Path, checkpoint_every: u64) -> DurabilityConfig {
-        DurabilityConfig {
-            dir: dir.to_path_buf(),
-            fsync: FsyncPolicy::Never,
-            checkpoint_every,
-        }
-    }
-
-    fn delta(i: u64) -> EdgeDelta {
-        EdgeDelta {
-            time: i as f64,
-            new_pages: vec![100 + i],
-            added: vec![(i, i + 1), (100 + i, i)],
-            removed: if i > 2 { vec![(i - 1, i)] } else { vec![] },
-        }
-    }
-
-    #[test]
-    fn sharded_journal_roundtrips_deltas_in_order() {
-        let dir = tmp("roundtrip");
-        let opened = open_journal(&cfg(&dir, 0), 3).unwrap();
-        assert_eq!(opened.report.shards, 3);
-        let mut journal = opened.journal;
-        let deltas: Vec<EdgeDelta> = (0..7).map(delta).collect();
-        for d in &deltas {
-            journal.append(d).unwrap();
-        }
-        journal.sync().unwrap();
-        drop(journal);
-        let opened = open_journal(&cfg(&dir, 0), 3).unwrap();
-        assert!(opened.checkpoint.is_none());
-        let replayed: Vec<EdgeDelta> = opened.deltas.iter().map(|(_, d)| d.clone()).collect();
-        assert_eq!(replayed, deltas, "merged replay must match ingest order");
-        assert_eq!(opened.deltas.first().unwrap().0, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn ensemble_checkpoint_trims_replay_and_markers_lag() {
-        let dir = tmp("ckpt");
-        let mut journal = open_journal(&cfg(&dir, 0), 2).unwrap().journal;
-        for i in 0..5 {
-            journal.append(&delta(i)).unwrap();
-        }
-        assert_eq!(journal.checkpoint(b"state-a").unwrap(), 5);
-        for i in 5..8 {
-            journal.append(&delta(i)).unwrap();
-        }
-        assert_eq!(journal.checkpoint(b"state-b").unwrap(), 8);
-        journal.append(&delta(8)).unwrap();
-        journal.sync().unwrap();
-        drop(journal);
-        let opened = open_journal(&cfg(&dir, 0), 2).unwrap();
-        assert_eq!(opened.checkpoint.as_deref(), Some(&b"state-b"[..]));
-        let lsns: Vec<u64> = opened.deltas.iter().map(|(l, _)| *l).collect();
-        assert_eq!(lsns, vec![8], "replay starts at the full checkpoint");
-        assert_eq!(opened.deltas[0].1, delta(8));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn overhanging_shard_records_are_truncated_to_the_horizon() {
-        let dir = tmp("horizon");
-        let mut journal = open_journal(&cfg(&dir, 0), 2).unwrap().journal;
-        for i in 0..4 {
-            journal.append(&delta(i)).unwrap();
-        }
-        journal.sync().unwrap();
-        drop(journal);
-        // Simulate a crash mid-ensemble-append: shard 0 got record 4,
-        // shard 1 did not.
-        let (mut w0, _) = Wal::open(&shard_dir(&dir, 0), WalOptions::default()).unwrap();
-        w0.append(&qrank_wal::encode_delta(&record_of_delta(&delta(4))))
-            .unwrap();
-        w0.sync().unwrap();
-        drop(w0);
-        let opened = open_journal(&cfg(&dir, 0), 2).unwrap();
-        assert_eq!(opened.report.truncated_records, 1);
-        assert_eq!(opened.deltas.len(), 4, "the overhang is not replayed");
-        drop(opened);
-        // After truncation the logs agree again and append resumes at 4.
-        let mut journal = open_journal(&cfg(&dir, 0), 2).unwrap().journal;
-        journal.append(&delta(4)).unwrap();
-        journal.sync().unwrap();
-        drop(journal);
-        let opened = open_journal(&cfg(&dir, 0), 2).unwrap();
-        assert_eq!(opened.deltas.len(), 5);
-        assert_eq!(opened.report.truncated_records, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -949,24 +562,23 @@ mod tests {
     }
 
     #[test]
-    fn layout_mismatches_are_config_errors() {
-        let dir = tmp("mismatch");
-        drop(open_journal(&cfg(&dir, 0), 2).unwrap());
-        assert!(matches!(
-            open_journal(&cfg(&dir, 0), 1),
-            Err(ServeError::Config(_))
-        ));
-        assert!(matches!(
-            open_journal(&cfg(&dir, 0), 4),
-            Err(ServeError::Config(_))
-        ));
-        let flat = tmp("mismatch_flat");
-        drop(open_journal(&cfg(&flat, 0), 1).unwrap());
-        assert!(matches!(
-            open_journal(&cfg(&flat, 0), 2),
-            Err(ServeError::Config(_))
-        ));
+    fn sharded_data_dirs_are_config_errors() {
+        let dir = tmp("sharded");
+        std::fs::create_dir_all(dir.join("shard-000")).unwrap();
+        let opened = crate::RefreshEngine::open_durable(
+            crate::RefreshConfig::default(),
+            &DurabilityConfig::at(&dir),
+            std::sync::Arc::new(crate::ShardedStore::new(1)),
+            None,
+        );
+        match opened {
+            Err(ServeError::Config(msg)) => {
+                assert!(msg.contains(&dir.display().to_string()), "{msg}");
+                assert!(msg.contains("sharded journals are no longer read"), "{msg}");
+            }
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a sharded data dir opened"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&flat).unwrap();
     }
 }

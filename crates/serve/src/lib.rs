@@ -3,25 +3,18 @@
 //! The paper's estimator is a batch computation; this crate turns it into
 //! something you can query. Three layers:
 //!
-//! * **Score store** ([`store`], [`shard`]) — N deterministic shards
-//!   behind one routing function ([`shard::shard_of`], FNV-1a of the
-//!   page id mod N), each an immutable, atomically-swappable generation
-//!   of per-page `{quality, pagerank, trend}` built from the matching
-//!   rows of a [`qrank_core::PipelineReport`]. `score` dispatches to
-//!   the owning shard; `topk`/`stats` scatter-gather over a sealed
-//!   coherent view with a k-way merge — responses are bitwise identical
-//!   to an unsharded store for any shard count.
+//! * **Score store** ([`store`]) — an immutable, atomically-swappable
+//!   generation of per-page `{quality, pagerank, trend}` built from a
+//!   [`qrank_core::PipelineReport`], with a precomputed quality ordering
+//!   for `topk`, published through one [`ShardedStore`] handle.
 //! * **Refresh worker** ([`refresh`]) — ingests edge deltas into a
 //!   [`qrank_graph::DynamicGraph`], re-ranks the snapshot window with
 //!   warm-started solves (reusing the previous generation's trajectory
 //!   columns when the window only grew), and publishes new store
-//!   generations — per-shard swaps, view sealed last — without ever
-//!   blocking readers.
+//!   generations without ever blocking readers.
 //! * **Durability** ([`durability`]) — optional crash safety: every
-//!   ingested delta is journaled to a `qrank-wal` write-ahead log (one
-//!   per shard, LSN-aligned, under `shard-NNN/` subtrees when sharded)
-//!   before it is applied, engine state is checkpointed periodically,
-//!   and
+//!   ingested delta is journaled to a `qrank-wal` write-ahead log before
+//!   it is applied, engine state is checkpointed periodically, and
 //!   [`RefreshEngine::open_durable`](refresh::RefreshEngine::open_durable)
 //!   recovers a data directory to bitwise-identical published scores.
 //! * **Front end** ([`server`]) — a fixed-size thread-pool TCP server
@@ -48,8 +41,6 @@
 //! use qrank_serve::{serve, RefreshEngine, RefreshConfig, ServerConfig, ShardedStore};
 //! # fn series() -> qrank_graph::SnapshotSeries { unimplemented!() }
 //!
-//! // One shard behaves exactly like the historical unsharded store;
-//! // pass N > 1 to partition the serve path.
 //! let handle = Arc::new(ShardedStore::new(1));
 //! let engine =
 //!     RefreshEngine::from_series(&series(), RefreshConfig::default(), Arc::clone(&handle))
@@ -76,7 +67,6 @@ pub mod overload;
 pub mod protocol;
 pub mod refresh;
 pub mod server;
-pub mod shard;
 pub mod store;
 
 /// JSON emission lives in `qrank-obs` now (the whole workspace renders
@@ -104,5 +94,4 @@ pub use refresh::{
 pub use server::{
     handle_request, handle_request_traced, serve, ServerConfig, ServerHandle, MAX_LINE_BYTES,
 };
-pub use shard::{shard_of, ShardRouter, ShardView, ShardedStore};
-pub use store::{PageScores, ScoreStore, StoreHandle};
+pub use store::{PageScores, ScoreStore, ShardedStore};

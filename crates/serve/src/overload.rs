@@ -38,10 +38,10 @@ use crate::protocol::Request;
 pub enum Cost {
     /// Never shed: liveness/readiness probes and the drain verb.
     Exempt,
-    /// Shed only under severe overload (`score` — one shard read).
+    /// Shed only under severe overload (`score` — one point read).
     Cheap,
-    /// Shed first (`topk`/`stats`/`metrics`/`trace` — scatter-gather,
-    /// k-way merges, multi-line rendering).
+    /// Shed first (`topk`/`stats`/`metrics`/`trace` — ranked rows,
+    /// full-registry snapshots, multi-line rendering).
     Expensive,
 }
 

@@ -23,7 +23,6 @@ use qrank_obs::Tracer;
 
 use crate::json::{array, Obj};
 use crate::metrics::MetricsSnapshot;
-use crate::shard::ShardView;
 use crate::store::{PageScores, ScoreStore};
 
 /// Largest `k` a `topk` request may ask for (keeps one response line
@@ -61,8 +60,8 @@ pub enum Request {
     Metrics,
     /// `health` — liveness probe (is the process up and answering?).
     Health,
-    /// `ready` — readiness probe: unready until a sealed score view
-    /// exists (generation > 0), e.g. mid-recovery on an empty store.
+    /// `ready` — readiness probe: unready until a score generation is
+    /// published (generation > 0), e.g. mid-recovery on an empty store.
     Ready,
     /// `trace …` — query the request-scoped tracing subsystem.
     Trace(TraceQuery),
@@ -157,10 +156,7 @@ fn page_obj(page: PageId, s: &PageScores) -> String {
         .finish()
 }
 
-/// Render a `score` response. Takes one shard's [`ScoreStore`] — the
-/// server dispatches to the owning shard, whose store carries the same
-/// global generation stamp an unsharded store would, so the rendered
-/// bytes are shard-count invariant.
+/// Render a `score` response.
 pub fn render_score(store: &ScoreStore, page: u64) -> String {
     match store.score(PageId(page)) {
         Some(s) => Obj::new()
@@ -175,25 +171,24 @@ pub fn render_score(store: &ScoreStore, page: u64) -> String {
     }
 }
 
-/// Render a `topk` response: a scatter-gather k-way merge across the
-/// sealed view's shards (bitwise identical to the unsharded order).
-pub fn render_topk(view: &ShardView, k: usize) -> String {
-    let rows = view.topk(k);
+/// Render a `topk` response.
+pub fn render_topk(store: &ScoreStore, k: usize) -> String {
+    let rows = store.topk(k);
     Obj::new()
         .bool("ok", true)
-        .int("generation", view.generation())
+        .int("generation", store.generation())
         .int("k", rows.len() as u64)
         .raw("pages", &array(rows.iter().map(|(p, s)| page_obj(*p, s))))
         .finish()
 }
 
-/// Render a `stats` response (page counts gathered across the view).
-pub fn render_stats(view: &ShardView, m: &MetricsSnapshot) -> String {
+/// Render a `stats` response.
+pub fn render_stats(store: &ScoreStore, m: &MetricsSnapshot) -> String {
     Obj::new()
         .bool("ok", true)
-        .int("generation", view.generation())
-        .int("pages", view.len() as u64)
-        .num("snapshot_time", view.snapshot_time())
+        .int("generation", store.generation())
+        .int("pages", store.len() as u64)
+        .num("snapshot_time", store.snapshot_time())
         .int("requests", m.requests)
         .int("errors", m.errors)
         .int("cache_hits", m.cache_hits)
@@ -215,15 +210,15 @@ pub fn render_stats(view: &ShardView, m: &MetricsSnapshot) -> String {
 /// The response is multi-line — the one verb that is not a single JSON
 /// line — so the terminator is what lets a line-based client know it
 /// has read everything.
-pub fn render_metrics(view: &ShardView, metrics: &crate::metrics::Metrics) -> String {
+pub fn render_metrics(store: &ScoreStore, metrics: &crate::metrics::Metrics) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "# TYPE qrank_store_generation gauge\nqrank_store_generation {}\n",
-        view.generation()
+        store.generation()
     ));
     out.push_str(&format!(
         "# TYPE qrank_store_pages gauge\nqrank_store_pages {}\n",
-        view.len()
+        store.len()
     ));
     out.push_str(&metrics.registry().snapshot().prometheus_text());
     out.push_str(&qrank_obs::global().snapshot().prometheus_text());
@@ -269,37 +264,37 @@ pub fn render_trace(tracer: Option<&Tracer>, query: TraceQuery) -> String {
 
 /// Render a `health` response (`"empty"` until the first generation is
 /// published, `"serving"` after).
-pub fn render_health(view: &ShardView) -> String {
+pub fn render_health(store: &ScoreStore) -> String {
     Obj::new()
         .bool("ok", true)
         .str(
             "status",
-            if view.generation() == 0 {
+            if store.generation() == 0 {
                 "empty"
             } else {
                 "serving"
             },
         )
-        .int("generation", view.generation())
-        .int("pages", view.len() as u64)
+        .int("generation", store.generation())
+        .int("pages", store.len() as u64)
         .finish()
 }
 
 /// Render a `ready` response: readiness is *having something to
-/// serve* — a sealed view with at least one published generation.
+/// serve* — at least one published generation.
 /// Distinct from `health` (liveness), which answers `ok:true` even on
 /// an empty store: a process mid-recovery is alive but not ready, and
 /// a load balancer must not route to it yet. `draining` flips to true
 /// once a graceful shutdown begins, un-readying the instance ahead of
 /// the actual stop.
-pub fn render_ready(view: &ShardView, draining: bool) -> String {
-    let ready = view.generation() > 0 && !draining;
+pub fn render_ready(store: &ScoreStore, draining: bool) -> String {
+    let ready = store.generation() > 0 && !draining;
     Obj::new()
         .bool("ok", true)
         .bool("ready", ready)
         .bool("draining", draining)
-        .int("generation", view.generation())
-        .int("pages", view.len() as u64)
+        .int("generation", store.generation())
+        .int("pages", store.len() as u64)
         .finish()
 }
 
@@ -436,19 +431,19 @@ mod tests {
 
     #[test]
     fn renders_against_empty_store() {
+        let store = ScoreStore::empty();
         assert_eq!(
-            render_score(&ScoreStore::empty(), 7),
+            render_score(&store, 7),
             r#"{"ok":false,"error":"unknown page 7"}"#
         );
-        let view = crate::shard::ShardedStore::new(1).current();
-        let topk = render_topk(&view, 3);
+        let topk = render_topk(&store, 3);
         assert!(
             topk.contains(r#""k":0"#) && topk.contains(r#""pages":[]"#),
             "{topk}"
         );
-        let health = render_health(&view);
+        let health = render_health(&store);
         assert!(health.contains(r#""status":"empty""#), "{health}");
-        let stats = render_stats(&view, &Metrics::new().snapshot());
+        let stats = render_stats(&store, &Metrics::new().snapshot());
         assert!(
             stats.contains(r#""ok":true"#) && stats.contains(r#""requests":0"#),
             "{stats}"
@@ -457,11 +452,11 @@ mod tests {
 
     #[test]
     fn metrics_exposition_is_prometheus_text_with_terminator() {
-        let view = crate::shard::ShardedStore::new(1).current();
+        let store = ScoreStore::empty();
         let m = Metrics::new();
         m.record(1_500);
         m.record_error();
-        let text = render_metrics(&view, &m);
+        let text = render_metrics(&store, &m);
         assert!(text.starts_with("# TYPE qrank_store_generation gauge"));
         assert!(text.contains("qrank_store_pages 0"));
         assert!(text.contains("qrank_serve_requests 1"));
@@ -475,7 +470,7 @@ mod tests {
 
     #[test]
     fn ready_is_false_on_an_empty_or_draining_store() {
-        let empty = crate::shard::ShardedStore::new(1).current();
+        let empty = ScoreStore::empty();
         let r = render_ready(&empty, false);
         assert!(
             r.contains(r#""ok":true"#) && r.contains(r#""ready":false"#),

@@ -3,8 +3,7 @@
 //! The refresh worker owns a [`DynamicGraph`] plus a sliding window of
 //! snapshots. Each ingested [`EdgeDelta`] appends graph events, captures
 //! a new snapshot, recomputes quality estimates, and publishes a fresh
-//! [`ScoreStore`](crate::ScoreStore) generation — all off the request
-//! path.
+//! [`ScoreStore`] generation — all off the request path.
 //!
 //! ## One incremental path
 //!
@@ -43,7 +42,7 @@ use qrank_obs::trace::{ActiveTrace, Tracer};
 
 use crate::durability::{self, DurabilityConfig, Journal, RecoveryReport, RetryPolicy};
 use crate::error::ServeError;
-use crate::shard::ShardedStore;
+use crate::store::{ScoreStore, ShardedStore};
 
 /// A batch of link-structure changes observed at one instant.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -122,9 +121,8 @@ pub struct RefreshStats {
 /// The incremental re-ranking engine.
 ///
 /// Single-owner (typically a dedicated worker thread); publishes results
-/// through a shared [`ShardedStore`] (each publish partitions the
-/// report's rows by owning shard, swaps every shard's store, and seals
-/// the coherent view last) so the request path never waits on a rerank.
+/// through a shared [`ShardedStore`] so the request path never waits on
+/// a rerank.
 #[derive(Debug)]
 pub struct RefreshEngine {
     cfg: RefreshConfig,
@@ -212,10 +210,8 @@ impl RefreshEngine {
     /// journaled — as deltas, so the *next* boot recovers them from the
     /// log instead.
     ///
-    /// The journal layout follows the handle's shard count: one shard
-    /// keeps the original flat layout, more turn `dur.dir` into
-    /// per-shard WAL subtrees recovered in parallel and zip-merged back
-    /// into global deltas (see [`crate::durability`]).
+    /// A directory holding a sharded journal (`shard-000/`) is refused
+    /// with [`ServeError::Config`]; sharded journals are no longer read.
     pub fn open_durable(
         cfg: RefreshConfig,
         dur: &DurabilityConfig,
@@ -223,7 +219,7 @@ impl RefreshEngine {
         seed: Option<&SnapshotSeries>,
     ) -> Result<(Self, RecoveryReport), ServeError> {
         let _span = qrank_obs::span!("refresh.recover");
-        let opened = durability::open_journal(dur, handle.shards())?;
+        let opened = durability::open_journal(dur)?;
         let mut engine = Self::new(cfg, handle)?;
         let mut report = opened.report;
         report.replayed_records = opened.deltas.len() as u64;
@@ -233,7 +229,7 @@ impl RefreshEngine {
             report.checkpoint_generation = Some(engine.generation);
         }
         // Replay gets its own span so flight-recorder timelines separate
-        // "reading the log" (wal open + merge) from "re-running its
+        // "reading the log" (wal open + decode) from "re-running its
         // deltas".
         let replay_span = qrank_obs::span!("refresh.replay");
         for (lsn, delta) in &opened.deltas {
@@ -310,8 +306,11 @@ impl RefreshEngine {
         let report = self
             .pipeline
             .run(&self.series, &estimator, self.cfg.min_relative_change)?;
-        self.handle
-            .publish_report(&report, self.generation, snapshot_time);
+        self.handle.publish(ScoreStore::from_report(
+            &report,
+            self.generation,
+            snapshot_time,
+        ));
         Ok(())
     }
 
@@ -495,8 +494,11 @@ impl RefreshEngine {
             columns_solved: stage.columns_solved(),
             columns_reused: stage.columns_reused(),
         };
-        self.handle
-            .publish_report(&report, self.generation, snapshot_time);
+        self.handle.publish(ScoreStore::from_report(
+            &report,
+            self.generation,
+            snapshot_time,
+        ));
         Ok(Some(stats))
     }
 
@@ -735,8 +737,8 @@ pub fn spawn_refresh_worker(
 /// * **Panic inside ingest** — caught with `catch_unwind`; the delta is
 ///   quarantined and the engine is *poisoned*: its in-memory state can
 ///   no longer be trusted mid-mutation, so every subsequent delta goes
-///   straight to quarantine and the last sealed [`ShardedStore`] view
-///   keeps serving untouched. A restart recovers from the journal
+///   straight to quarantine and the last published [`ShardedStore`]
+///   generation keeps serving untouched. A restart recovers from the journal
 ///   (write-ahead ordering means a panic before the append left no
 ///   trace; one after it replays the delta).
 /// * **Worker messages while poisoned** — recorded as errors, never

@@ -31,13 +31,9 @@
 //! joined. The embedding process (see `qrank serve`) then writes a
 //! final checkpoint.
 //!
-//! The serving state is a [`ShardedStore`]: `score` dispatches to the
-//! owning shard's freshest generation (a briefly-held read lock around
-//! an `Arc` clone, so a refresh publish never stalls the request path),
-//! while `topk`/`stats`/`health`/`metrics` scatter-gather over the
-//! sealed coherent view — every multi-shard answer reads one consistent
-//! generation vector. Responses are bitwise independent of the shard
-//! count.
+//! Every verb reads the store through [`ShardedStore::current`], a
+//! briefly-held read lock around an `Arc` clone, so a refresh publish
+//! never stalls the request path.
 //!
 //! Malformed input never drops the connection: unknown verbs, bad
 //! arguments, and non-UTF-8 bytes all answer a structured
@@ -49,11 +45,9 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use qrank_obs::trace::{ActiveTrace, TraceConfig, Tracer};
 use qrank_obs::SloConfig;
@@ -67,7 +61,15 @@ use crate::protocol::{
     render_ready, render_score, render_shutdown_ack, render_stats, render_topk, render_trace,
     verb_name, Request,
 };
-use crate::shard::{score_shard_label, ShardedStore};
+use crate::store::ShardedStore;
+
+/// Lock `m`, recovering the guard if a holder panicked: the guarded
+/// values (the topk cache, the connection queue) stay valid across any
+/// panic, and a contained refresh or handler panic must not wedge the
+/// request path.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// How often an idle worker wakes up to check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(250);
@@ -381,7 +383,7 @@ pub fn serve(store: Arc<ShardedStore>, cfg: &ServerConfig) -> Result<ServerHandl
             let tracer = tracer.as_ref().map(Arc::clone);
             let limits = limits.clone();
             std::thread::spawn(move || loop {
-                let conn = conn_rx.lock().recv();
+                let conn = lock(&conn_rx).recv();
                 match conn {
                     Ok(conn) => {
                         shared.queued.fetch_sub(1, Ordering::SeqCst);
@@ -613,18 +615,12 @@ fn handle_request_drain_aware(
         t.set_verb(verb_name(&request));
         t.stage("store_read");
     }
+    let current = store.current();
     let response = match request {
         Request::Score(page) => {
             if crate::fault::chaos_fail("serve.score") {
                 render_error("chaos: injected serve.score fault")
             } else {
-                // Single-shard dispatch: only the owning shard's freshest
-                // generation is read; no scatter, no view.
-                let shard = store.route(page);
-                let current = store.shard_current(shard);
-                if qrank_obs::enabled() {
-                    qrank_obs::global().counter("shard.score_dispatch").inc();
-                }
                 if let Some(t) = trace.as_mut() {
                     t.stage("serialize");
                 }
@@ -632,11 +628,10 @@ fn handle_request_drain_aware(
             }
         }
         Request::TopK(k) => {
-            let view = store.current();
             if let Some(t) = trace.as_mut() {
                 t.stage("cache_lookup");
             }
-            let cached = cache.lock().get(view.generations(), k);
+            let cached = lock(cache).get(current.generation(), k);
             match cached {
                 Some(hit) => {
                     metrics.cache_hit();
@@ -651,39 +646,35 @@ fn handle_request_drain_aware(
                         t.stage("serialize");
                         t.note("cache=miss");
                     }
-                    let rendered = render_topk(&view, k);
-                    cache.lock().put(view.generations(), k, rendered.clone());
+                    let rendered = render_topk(&current, k);
+                    lock(cache).put(current.generation(), k, rendered.clone());
                     rendered
                 }
             }
         }
         Request::Stats => {
-            let view = store.current();
             if let Some(t) = trace.as_mut() {
                 t.stage("serialize");
             }
-            render_stats(&view, &metrics.snapshot())
+            render_stats(&current, &metrics.snapshot())
         }
         Request::Metrics => {
-            let view = store.current();
             if let Some(t) = trace.as_mut() {
                 t.stage("serialize");
             }
-            render_metrics(&view, metrics)
+            render_metrics(&current, metrics)
         }
         Request::Health => {
-            let view = store.current();
             if let Some(t) = trace.as_mut() {
                 t.stage("serialize");
             }
-            render_health(&view)
+            render_health(&current)
         }
         Request::Ready => {
-            let view = store.current();
             if let Some(t) = trace.as_mut() {
                 t.stage("serialize");
             }
-            render_ready(&view, draining)
+            render_ready(&current, draining)
         }
         Request::Trace(query) => {
             if let Some(t) = trace.as_mut() {
@@ -703,17 +694,6 @@ fn handle_request_drain_aware(
     if let Some(tr) = tracer {
         let ok = !response.starts_with(r#"{"ok":false"#);
         tr.observe(verb_name(&request), latency_ns, ok);
-        // Per-shard SLO attribution for score dispatch: observed *in
-        // addition to* the plain verb, and only on a sharded store, so
-        // single-shard deployments keep their exact historical label
-        // set.
-        if store.shards() > 1 {
-            if let Request::Score(page) = request {
-                if let Some(label) = score_shard_label(store.route(page)) {
-                    tr.observe(label, latency_ns, ok);
-                }
-            }
-        }
     }
     (response, trace)
 }

@@ -4,14 +4,13 @@
 //! quality estimates, current PageRank, and trend classification, plus a
 //! precomputed quality ordering for `topk` queries. Stores are built off
 //! the request path (by the refresh worker) and published through a
-//! [`StoreHandle`]; readers grab an `Arc` clone under a briefly-held read
-//! lock, so a publish never blocks an in-flight request and a request
-//! never observes a half-updated store.
+//! [`ShardedStore`]; readers grab an `Arc` clone under a briefly-held
+//! read lock, so a publish never blocks an in-flight request and a
+//! request never observes a half-updated store.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
-use parking_lot::RwLock;
 use qrank_core::{PipelineReport, Trend};
 use qrank_graph::PageId;
 
@@ -56,25 +55,8 @@ impl ScoreStore {
 
     /// Build a store from a pipeline report.
     pub fn from_report(report: &PipelineReport, generation: u64, snapshot_time: f64) -> Self {
-        let all: Vec<u32> = (0..report.pages.len() as u32).collect();
-        Self::from_report_rows(report, &all, generation, snapshot_time)
-    }
-
-    /// Build a store from a subset of a pipeline report's rows — the
-    /// per-shard constructor. Score columns are copied verbatim (bit for
-    /// bit), and the quality ordering is sorted with the exact
-    /// comparator [`from_report`](Self::from_report) uses, so restricting
-    /// rows commutes with sorting: a k-way merge of per-shard stores
-    /// reproduces the unsharded order bitwise.
-    pub fn from_report_rows(
-        report: &PipelineReport,
-        rows: &[u32],
-        generation: u64,
-        snapshot_time: f64,
-    ) -> Self {
-        let take = |col: &[f64]| -> Vec<f64> { rows.iter().map(|&r| col[r as usize]).collect() };
-        let pages: Vec<PageId> = rows.iter().map(|&r| report.pages[r as usize]).collect();
-        let quality = take(&report.estimates);
+        let pages = report.pages.clone();
+        let quality = report.estimates.clone();
         let index: HashMap<u64, u32> = pages
             .iter()
             .enumerate()
@@ -91,8 +73,8 @@ impl ScoreStore {
             snapshot_time,
             pages,
             quality,
-            pagerank: take(&report.current),
-            trends: rows.iter().map(|&r| report.trends[r as usize]).collect(),
+            pagerank: report.current.clone(),
+            trends: report.trends.clone(),
             index,
             by_quality,
         }
@@ -129,21 +111,6 @@ impl ScoreStore {
         })
     }
 
-    /// The `i`-th best page in this store's quality order (0 = best), or
-    /// `None` past the end — the cursor primitive the sharded k-way
-    /// merge walks.
-    pub fn nth_best(&self, i: usize) -> Option<(PageId, PageScores)> {
-        let row = *self.by_quality.get(i)? as usize;
-        Some((
-            self.pages[row],
-            PageScores {
-                quality: self.quality[row],
-                pagerank: self.pagerank[row],
-                trend: self.trends[row],
-            },
-        ))
-    }
-
     /// The `k` highest-quality pages, best first (ties broken by page
     /// id). Precomputed at build time — a `topk` query is a slice copy.
     pub fn topk(&self, k: usize) -> Vec<(PageId, PageScores)> {
@@ -170,41 +137,60 @@ impl ScoreStore {
 ///
 /// The lock is only held long enough to clone or replace an `Arc` — a
 /// few nanoseconds — so readers are effectively never blocked by a
-/// publish (this is asserted by the concurrent-reader test).
+/// publish (this is asserted by the concurrent-reader test). A panic
+/// while the lock is held cannot wedge it: poison is recovered, so a
+/// contained refresh panic leaves the last published generation
+/// serving.
 #[derive(Debug)]
-pub struct StoreHandle {
+pub struct ShardedStore {
     current: RwLock<Arc<ScoreStore>>,
 }
 
-impl StoreHandle {
-    /// A handle serving the empty generation-0 store.
-    pub fn new() -> Self {
-        StoreHandle {
-            current: RwLock::new(Arc::new(ScoreStore::empty())),
-        }
-    }
-
-    /// A handle starting from an existing store.
-    pub fn with_store(store: ScoreStore) -> Self {
-        StoreHandle {
-            current: RwLock::new(Arc::new(store)),
-        }
-    }
-
+impl ShardedStore {
     /// The current generation (cheap `Arc` clone).
     pub fn current(&self) -> Arc<ScoreStore> {
-        self.current.read().clone()
+        self.current
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Atomically swap in a new generation.
     pub fn publish(&self, store: ScoreStore) {
-        *self.current.write() = Arc::new(store);
+        *self.current.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(store);
     }
 }
 
-impl Default for StoreHandle {
-    fn default() -> Self {
-        Self::new()
+/// The names the project benchmark calls from when the store was split
+/// into shards: `new`, `route`, `shard_current` and `publish_report`.
+/// The next benchmark change renames the type to `StoreHandle` and
+/// deletes this block.
+#[doc(hidden)]
+impl ShardedStore {
+    /// A handle serving the empty generation-0 store.
+    ///
+    /// # Panics
+    /// Panics unless `shards` is 1: the store is no longer partitioned.
+    pub fn new(shards: usize) -> Self {
+        assert_eq!(shards, 1, "the score store is one partition");
+        ShardedStore {
+            current: RwLock::new(Arc::new(ScoreStore::empty())),
+        }
+    }
+
+    /// The partition owning `page`: always 0.
+    pub fn route(&self, _page: u64) -> usize {
+        0
+    }
+
+    /// The current generation, as [`current`](Self::current).
+    pub fn shard_current(&self, _shard: usize) -> Arc<ScoreStore> {
+        self.current()
+    }
+
+    /// Publish `report` as generation `generation`.
+    pub fn publish_report(&self, report: &PipelineReport, generation: u64, snapshot_time: f64) {
+        self.publish(ScoreStore::from_report(report, generation, snapshot_time))
     }
 }
 
@@ -266,32 +252,8 @@ mod tests {
     }
 
     #[test]
-    fn row_restriction_preserves_bits_and_order() {
-        let r = report();
-        let full = ScoreStore::from_report(&r, 1, 2.0);
-        let sub = ScoreStore::from_report_rows(&r, &[4, 1, 3], 1, 2.0);
-        assert_eq!(sub.len(), 3);
-        for &row in &[4usize, 1, 3] {
-            let s = sub.score(r.pages[row]).unwrap();
-            assert_eq!(s.quality.to_bits(), r.estimates[row].to_bits());
-            assert_eq!(s.pagerank.to_bits(), r.current[row].to_bits());
-        }
-        assert!(sub.score(r.pages[0]).is_none());
-        // the restricted quality order is the full order filtered
-        let full_order: Vec<PageId> = full
-            .topk(6)
-            .into_iter()
-            .map(|(p, _)| p)
-            .filter(|p| [r.pages[4], r.pages[1], r.pages[3]].contains(p))
-            .collect();
-        let sub_order: Vec<PageId> = (0..3).map(|i| sub.nth_best(i).unwrap().0).collect();
-        assert_eq!(sub_order, full_order);
-        assert!(sub.nth_best(3).is_none());
-    }
-
-    #[test]
     fn handle_swaps_generations_atomically() {
-        let handle = StoreHandle::new();
+        let handle = ShardedStore::new(1);
         assert_eq!(handle.current().generation(), 0);
         assert!(handle.current().is_empty());
         let r = report();

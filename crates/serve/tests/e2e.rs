@@ -17,7 +17,7 @@ use qrank_core::{run_pipeline, PipelineConfig};
 use qrank_graph::{CsrGraph, PageId, Snapshot, SnapshotSeries};
 use qrank_serve::{
     serve, spawn_refresh_worker, EdgeDelta, RefreshConfig, RefreshEngine, RefreshMsg, ScoreStore,
-    ServerConfig, ShardedStore, StoreHandle,
+    ServerConfig, ShardedStore,
 };
 
 /// The same growing 6-page web as the refresh unit tests: one page
@@ -356,9 +356,8 @@ fn bad_requests_do_not_poison_the_connection() {
 fn concurrent_readers_make_progress_while_generations_publish() {
     let series = seed_series(3);
     let report = run_pipeline(&series, &PipelineConfig::default()).unwrap();
-    let handle = Arc::new(StoreHandle::with_store(ScoreStore::from_report(
-        &report, 1, 2.0,
-    )));
+    let handle = Arc::new(ShardedStore::new(1));
+    handle.publish(ScoreStore::from_report(&report, 1, 2.0));
     let stop = Arc::new(AtomicBool::new(false));
 
     // writer: publish new generations as fast as possible until told to stop

@@ -141,7 +141,7 @@ fn metrics_exposition_is_valid_and_names_survive_a_refresh() {
     )
     .unwrap();
     let metrics = Metrics::new();
-    let cache = parking_lot::Mutex::new(LruCache::new(8));
+    let cache = std::sync::Mutex::new(LruCache::new(8));
 
     // drive some traffic so every serve counter and the latency
     // histogram carry samples

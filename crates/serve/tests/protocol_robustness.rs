@@ -28,8 +28,8 @@ fn seed_series(snapshots: usize) -> SnapshotSeries {
     s
 }
 
-fn start_server(shards: usize) -> qrank_serve::ServerHandle {
-    let handle = Arc::new(ShardedStore::new(shards));
+fn start_server() -> qrank_serve::ServerHandle {
+    let handle = Arc::new(ShardedStore::new(1));
     RefreshEngine::from_series(
         &seed_series(3),
         RefreshConfig::default(),
@@ -79,7 +79,7 @@ fn every_bad_request_gets_a_structured_error_and_the_connection_lives() {
         (b"\xff\xfe\x00garbage", "unknown command"),
         (b"score \xf0\x28\x8c\x28", "bad page id"),
     ];
-    let server = start_server(2);
+    let server = start_server();
     let (mut reader, mut writer) = connect(server.addr());
     for (request, want) in corpus {
         writer.write_all(request).unwrap();
@@ -107,7 +107,7 @@ fn every_bad_request_gets_a_structured_error_and_the_connection_lives() {
 
 #[test]
 fn oversized_line_answers_an_error_then_closes() {
-    let server = start_server(1);
+    let server = start_server();
     let (mut reader, mut writer) = connect(server.addr());
     // One byte over the cap, never newline-terminated: the server can't
     // frame it, so it must answer a bounded structured error and close
@@ -127,10 +127,10 @@ fn oversized_line_answers_an_error_then_closes() {
 
 #[test]
 fn topk_cache_is_invalidated_by_a_refresh_between_identical_requests() {
-    // Regression: the LRU key must include the store generation vector.
+    // Regression: the LRU key must include the store generation.
     // With a key of `k` alone, the second request would replay the
     // pre-refresh response from the cache.
-    let handle = Arc::new(ShardedStore::new(2));
+    let handle = Arc::new(ShardedStore::new(1));
     let mut engine = RefreshEngine::from_series(
         &seed_series(3),
         RefreshConfig::default(),
@@ -138,7 +138,7 @@ fn topk_cache_is_invalidated_by_a_refresh_between_identical_requests() {
     )
     .unwrap();
     let metrics = Metrics::new();
-    let cache = parking_lot::Mutex::new(LruCache::new(8));
+    let cache = std::sync::Mutex::new(LruCache::new(8));
 
     let before = handle_request("topk 3", &handle, &metrics, &cache);
     assert!(before.contains(r#""generation":1"#), "{before}");

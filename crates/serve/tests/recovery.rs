@@ -79,8 +79,8 @@ fn delta_stream() -> Vec<EdgeDelta> {
 
 /// Run every delta through one uninterrupted durable engine; return its
 /// handle for comparison.
-fn uninterrupted(dir: &Path, checkpoint_every: u64, shards: usize) -> Arc<ShardedStore> {
-    let handle = Arc::new(ShardedStore::new(shards));
+fn uninterrupted(dir: &Path, checkpoint_every: u64) -> Arc<ShardedStore> {
+    let handle = Arc::new(ShardedStore::new(1));
     let (mut engine, report) = RefreshEngine::open_durable(
         RefreshConfig::default(),
         &dur(dir, checkpoint_every),
@@ -96,9 +96,7 @@ fn uninterrupted(dir: &Path, checkpoint_every: u64, shards: usize) -> Arc<Sharde
 }
 
 /// Assert two published stores are bitwise identical: same generation,
-/// same pages in the same quality order, every score bit equal. Works
-/// across shard counts: the sealed view's `topk` is defined to be
-/// bitwise identical to the unsharded ordering for any N.
+/// same pages in the same quality order, every score bit equal.
 fn assert_bitwise_identical(a: &Arc<ShardedStore>, b: &Arc<ShardedStore>) {
     let (a, b) = (a.current(), b.current());
     assert_eq!(a.generation(), b.generation(), "generation differs");
@@ -128,17 +126,17 @@ fn assert_bitwise_identical(a: &Arc<ShardedStore>, b: &Arc<ShardedStore>) {
 /// Kill after `kill_after` ingests (no clean shutdown, no final
 /// checkpoint), recover, finish the stream, and compare against the
 /// uninterrupted run.
-fn kill_recover_resume(name: &str, kill_after: usize, checkpoint_every: u64, shards: usize) {
+fn kill_recover_resume(name: &str, kill_after: usize, checkpoint_every: u64) {
     let dir_a = tmpdir(&format!("{name}_uninterrupted"));
     let dir_b = tmpdir(&format!("{name}_killed"));
-    let reference = uninterrupted(&dir_a, checkpoint_every, shards);
+    let reference = uninterrupted(&dir_a, checkpoint_every);
 
     let deltas = delta_stream();
     {
         let (mut engine, _) = RefreshEngine::open_durable(
             RefreshConfig::default(),
             &dur(&dir_b, checkpoint_every),
-            Arc::new(ShardedStore::new(shards)),
+            Arc::new(ShardedStore::new(1)),
             None,
         )
         .unwrap();
@@ -147,7 +145,7 @@ fn kill_recover_resume(name: &str, kill_after: usize, checkpoint_every: u64, sha
         }
         // Dropped here without checkpoint_now(): the "kill".
     }
-    let handle = Arc::new(ShardedStore::new(shards));
+    let handle = Arc::new(ShardedStore::new(1));
     let (mut engine, report) = RefreshEngine::open_durable(
         RefreshConfig::default(),
         &dur(&dir_b, checkpoint_every),
@@ -176,7 +174,7 @@ fn kill_recover_resume(name: &str, kill_after: usize, checkpoint_every: u64, sha
 
 #[test]
 fn kill_and_recover_without_checkpoints_is_bitwise_identical() {
-    kill_recover_resume("nockpt", 5, 0, 1);
+    kill_recover_resume("nockpt", 5, 0);
 }
 
 #[test]
@@ -184,85 +182,22 @@ fn kill_and_recover_with_checkpoints_is_bitwise_identical() {
     // checkpoint_every = 3 puts a checkpoint (and compaction) at delta 3
     // and another at delta 6; killing at 5 recovers checkpoint@3 + 2
     // replayed records.
-    kill_recover_resume("ckpt", 5, 3, 1);
+    kill_recover_resume("ckpt", 5, 3);
 }
 
 #[test]
 fn kill_at_every_point_in_the_stream_is_bitwise_identical() {
     let n = delta_stream().len();
     for kill_after in 0..=n {
-        kill_recover_resume(&format!("sweep{kill_after}"), kill_after, 3, 1);
+        kill_recover_resume(&format!("sweep{kill_after}"), kill_after, 3);
     }
-}
-
-#[test]
-fn sharded_kill_and_recover_is_bitwise_identical() {
-    // Same sweep discipline against the per-shard WAL ensemble: the
-    // ensemble checkpoint (full state on shard 0, lag-one markers
-    // elsewhere) plus LSN-aligned replay must reproduce the
-    // uninterrupted sharded run bit for bit.
-    for shards in [2, 8] {
-        for kill_after in [0, 2, 5, 8] {
-            kill_recover_resume(
-                &format!("shard{shards}k{kill_after}"),
-                kill_after,
-                3,
-                shards,
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_recovery_matches_the_unsharded_store_bit_for_bit() {
-    // The strongest cross-cutting claim: kill a 3-shard durable engine,
-    // recover it, and its published view is bitwise identical to a
-    // FLAT (1-shard) engine that never crashed. Sharding plus recovery
-    // together must be invisible in the served bits.
-    let dir_a = tmpdir("xshard_flat");
-    let dir_b = tmpdir("xshard_sharded");
-    let reference = uninterrupted(&dir_a, 0, 1);
-
-    let deltas = delta_stream();
-    {
-        let (mut engine, _) = RefreshEngine::open_durable(
-            RefreshConfig::default(),
-            &dur(&dir_b, 3),
-            Arc::new(ShardedStore::new(3)),
-            None,
-        )
-        .unwrap();
-        for d in &deltas[..6] {
-            engine.ingest(d).unwrap();
-        }
-    }
-    let handle = Arc::new(ShardedStore::new(3));
-    let (mut engine, report) = RefreshEngine::open_durable(
-        RefreshConfig::default(),
-        &dur(&dir_b, 3),
-        Arc::clone(&handle),
-        None,
-    )
-    .unwrap();
-    assert!(
-        report.replay_errors.is_empty(),
-        "{:?}",
-        report.replay_errors
-    );
-    assert_eq!(report.shards, 3);
-    for d in &deltas[6..] {
-        engine.ingest(d).unwrap();
-    }
-    assert_bitwise_identical(&reference, &handle);
-    std::fs::remove_dir_all(&dir_a).unwrap();
-    std::fs::remove_dir_all(&dir_b).unwrap();
 }
 
 #[test]
 fn torn_final_record_is_dropped_and_reingestable() {
     let dir_a = tmpdir("torn_uninterrupted");
     let dir_b = tmpdir("torn_killed");
-    let reference = uninterrupted(&dir_a, 0, 1);
+    let reference = uninterrupted(&dir_a, 0);
 
     let deltas = delta_stream();
     {

@@ -1,11 +1,9 @@
 //! Simulation configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::QualityDist;
 
 /// How visits are allocated to pages.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VisitModel {
     /// The paper's Proposition 1: a page's visit rate is proportional to
     /// its (simple) popularity, `V(p,t) = r·P(p,t)`.
@@ -29,7 +27,7 @@ pub enum VisitModel {
 }
 
 /// Full parameter set for a [`crate::World`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Number of web users `n` (Proposition 2's population).
     pub num_users: usize,
@@ -143,7 +141,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_fields_roundtrip_via_debug() {
+    fn debug_names_every_field() {
         // smoke check that all fields are present in the Debug output
         let s = format!("{:?}", SimConfig::default());
         for field in [

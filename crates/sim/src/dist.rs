@@ -8,10 +8,9 @@
 
 use qrank_model::noise::standard_normal;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Distribution of intrinsic page quality on `(0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QualityDist {
     /// Every page has the same quality.
     Fixed(f64),

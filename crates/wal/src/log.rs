@@ -446,114 +446,21 @@ impl Wal {
     /// The log is synced *before* the checkpoint is written, so a
     /// checkpoint on disk can never reference records that are not.
     pub fn checkpoint(&mut self, payload: &[u8]) -> Result<u64, WalError> {
-        self.checkpoint_at(self.next_lsn, payload)
-    }
-
-    /// Write a checkpoint stamped at `lsn`, which may lag the append
-    /// head. A sharded journal uses this for its non-authoritative
-    /// shards: their marker checkpoints are stamped one full-checkpoint
-    /// cycle behind, so compaction keeps the records a fallback to the
-    /// *previous* full checkpoint would need to replay.
-    ///
-    /// `lsn` must not exceed the append head, regress below the newest
-    /// checkpoint, or fall below the oldest retained record.
-    pub fn checkpoint_at(&mut self, lsn: u64, payload: &[u8]) -> Result<u64, WalError> {
         let _span = qrank_obs::span!("wal.checkpoint");
         if crate::fault::chaos_fail("wal.checkpoint") {
             return Err(WalError::Io(std::io::Error::other(
                 "chaos: injected wal.checkpoint fault",
             )));
         }
-        if lsn > self.next_lsn {
-            return Err(WalError::Config(format!(
-                "checkpoint LSN {lsn} is past the append head {}",
-                self.next_lsn
-            )));
-        }
-        if let Some((_, prev)) = self.last_checkpoint {
-            if lsn < prev {
-                return Err(WalError::Config(format!(
-                    "checkpoint LSN {lsn} regresses below the newest checkpoint at {prev}"
-                )));
-            }
-        }
-        if let Some(first) = self.segments.first() {
-            if lsn < first.first_lsn {
-                return Err(WalError::Config(format!(
-                    "checkpoint LSN {lsn} is below the oldest retained record {}",
-                    first.first_lsn
-                )));
-            }
-        }
         self.sync()?;
         let seq = self.last_checkpoint.map_or(0, |(s, _)| s + 1);
+        let lsn = self.next_lsn;
         checkpoint::write_checkpoint(&self.dir, seq, lsn, payload)?;
         sync_dir(&self.dir)?;
         self.last_checkpoint = Some((seq, lsn));
         bump("wal.checkpoint");
         self.compact()?;
         Ok(lsn)
-    }
-
-    /// Physically truncate the log so the next append receives `lsn`,
-    /// discarding every record at or above it. Returns how many records
-    /// were cut. A no-op when `lsn` is at or past the append head.
-    ///
-    /// Sharded recovery uses this to align shard tails: after a crash
-    /// mid-ensemble-append some shards hold records their siblings
-    /// never durably received, and those overhanging records must be
-    /// cut before appends resume or the per-shard logs would disagree
-    /// about what each LSN contains. Refusing to cut below the newest
-    /// checkpoint keeps the operation safe: ensemble checkpoints are
-    /// only written once every shard is durable to the checkpoint LSN,
-    /// so an alignment truncation can never reach one.
-    pub fn truncate_to(&mut self, lsn: u64) -> Result<u64, WalError> {
-        if lsn >= self.next_lsn {
-            return Ok(0);
-        }
-        if let Some((_, ck)) = self.last_checkpoint {
-            if lsn < ck {
-                return Err(WalError::Config(format!(
-                    "refusing to truncate to LSN {lsn} below the newest checkpoint at {ck}"
-                )));
-            }
-        }
-        if self.segments.first().is_none_or(|s| lsn < s.first_lsn) {
-            return Err(WalError::Config(format!(
-                "cannot truncate to LSN {lsn}: it predates the oldest retained record"
-            )));
-        }
-        let removed = self.next_lsn - lsn;
-        self.sync()?;
-        // Drop whole segments that start at or past the cut.
-        while self.segments.len() > 1
-            && self.segments.last().expect("len checked above").first_lsn >= lsn
-        {
-            let info = self.segments.pop().expect("len checked above");
-            std::fs::remove_file(segment::segment_path(&self.dir, info.seq))?;
-        }
-        // Cut the (now) newest segment back to the last surviving frame.
-        let info = self.segments.last_mut().expect("wal always has a segment");
-        let path = segment::segment_path(&self.dir, info.seq);
-        let keep = (lsn - info.first_lsn) as usize;
-        let read = segment::read_segment(&path)?;
-        let valid_len = HEADER_LEN
-            + read
-                .records
-                .iter()
-                .take(keep)
-                .map(|r| FRAME_OVERHEAD + r.len() as u64)
-                .sum::<u64>();
-        let f = OpenOptions::new().write(true).open(&path)?;
-        f.set_len(valid_len)?;
-        f.sync_all()?;
-        info.end_lsn = lsn;
-        self.next_lsn = lsn;
-        self.active = OpenOptions::new().append(true).open(&path)?;
-        self.active_bytes = valid_len;
-        sync_dir(&self.dir)?;
-        bump_by("wal.truncate.records", removed);
-        Ok(removed)
     }
 
     /// Delete segments wholly covered by the newest checkpoint (never
@@ -779,88 +686,6 @@ mod tests {
         let (_, rec) = Wal::open(&dir, WalOptions::default()).unwrap();
         assert!(rec.torn_tail.is_none());
         assert_eq!(rec.records.len(), 5);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn truncate_to_cuts_the_tail_and_resumes_cleanly() {
-        let dir = tmpdir("truncate");
-        let opts = WalOptions {
-            max_segment_bytes: 64,
-            ..WalOptions::default()
-        };
-        {
-            let (mut wal, _) = Wal::open(&dir, opts.clone()).unwrap();
-            for i in 0..20u64 {
-                wal.append(&i.to_le_bytes()).unwrap();
-            }
-            assert!(wal.stats().segments > 1, "need a multi-segment log");
-            assert_eq!(wal.truncate_to(25).unwrap(), 0, "past the head is a no-op");
-            assert_eq!(wal.truncate_to(7).unwrap(), 13);
-            assert_eq!(wal.next_lsn(), 7);
-            // appends resume at the cut LSN
-            assert_eq!(wal.append(&99u64.to_le_bytes()).unwrap(), 7);
-            wal.sync().unwrap();
-        }
-        let (wal, rec) = Wal::open(&dir, opts).unwrap();
-        assert!(rec.torn_tail.is_none(), "truncation must leave a clean log");
-        assert_eq!(wal.next_lsn(), 8);
-        let lsns: Vec<u64> = rec.records.iter().map(|(l, _)| *l).collect();
-        assert_eq!(lsns, (0..8).collect::<Vec<u64>>());
-        assert_eq!(rec.records[7].1, 99u64.to_le_bytes());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn truncate_refuses_to_cut_below_a_checkpoint() {
-        let dir = tmpdir("truncate_ckpt");
-        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
-        for i in 0..6u64 {
-            wal.append(&i.to_le_bytes()).unwrap();
-        }
-        wal.checkpoint(b"state@6").unwrap();
-        for i in 6..9u64 {
-            wal.append(&i.to_le_bytes()).unwrap();
-        }
-        assert!(matches!(wal.truncate_to(4), Err(WalError::Config(_))));
-        assert_eq!(
-            wal.truncate_to(6).unwrap(),
-            3,
-            "down to the checkpoint is fine"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_at_lagging_lsn_keeps_covered_records() {
-        let dir = tmpdir("ckpt_at");
-        let opts = WalOptions {
-            max_segment_bytes: 64,
-            ..WalOptions::default()
-        };
-        {
-            let (mut wal, _) = Wal::open(&dir, opts.clone()).unwrap();
-            for i in 0..12u64 {
-                wal.append(&i.to_le_bytes()).unwrap();
-            }
-            assert!(matches!(
-                wal.checkpoint_at(13, b"x"),
-                Err(WalError::Config(_))
-            ));
-            assert_eq!(wal.checkpoint_at(5, b"marker@5").unwrap(), 5);
-            assert!(
-                matches!(wal.checkpoint_at(3, b"x"), Err(WalError::Config(_))),
-                "checkpoints must not regress"
-            );
-        }
-        let (_, rec) = Wal::open(&dir, opts).unwrap();
-        assert_eq!(rec.checkpoint.unwrap().lsn, 5);
-        let lsns: Vec<u64> = rec.records.iter().map(|(l, _)| *l).collect();
-        assert_eq!(
-            lsns,
-            (5..12).collect::<Vec<u64>>(),
-            "records past the lagging checkpoint survive compaction"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
