@@ -1,17 +1,12 @@
 //! Criterion micro-benchmarks for the ranking solvers.
 //!
-//! Measures the solver families from `qrank-rank` on Barabási–Albert
-//! graphs (power-law in-degree, like the web). Complements the
-//! figure/table binaries: these benches answer "which solver should the
-//! pipeline use", not "does the paper reproduce".
+//! Measures the PageRank solvers from `qrank-rank` — power iteration,
+//! Gauss–Seidel, and `solve_auto`, the entry point the pipeline uses —
+//! on Barabási–Albert graphs (power-law in-degree, like the web).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qrank_graph::generators::barabasi_albert;
-use qrank_rank::adaptive::AdaptiveConfig;
-use qrank_rank::{
-    adaptive, colored_gauss_seidel, extrapolated, gauss_seidel, hits, pagerank, pagerank_warm,
-    parallel_pagerank_force, solve_auto_with, PageRankConfig,
-};
+use qrank_rank::{gauss_seidel, hits, pagerank, pagerank_warm, solve_auto, PageRankConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -33,30 +28,8 @@ fn bench_solvers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("gauss_seidel", n), &g, |b, g| {
             b.iter(|| black_box(gauss_seidel(g, &cfg)))
         });
-        group.bench_with_input(BenchmarkId::new("extrapolated", n), &g, |b, g| {
-            b.iter(|| black_box(extrapolated(g, &cfg, 6)))
-        });
-        group.bench_with_input(BenchmarkId::new("adaptive", n), &g, |b, g| {
-            b.iter(|| black_box(adaptive(g, &cfg, &AdaptiveConfig::default())))
-        });
-        // forced variants: measure the threaded solvers themselves even
-        // below PARALLEL_MIN_NODES, where the public entry points would
-        // fall back to sequential — this group is where the crossover
-        // documented in `qrank_rank::solver` comes from
-        for threads in [2, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("parallel_{threads}t"), n),
-                &g,
-                |b, g| b.iter(|| black_box(parallel_pagerank_force(g, &cfg, threads))),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("colored_gs_{threads}t"), n),
-                &g,
-                |b, g| b.iter(|| black_box(colored_gauss_seidel(g, &cfg, threads))),
-            );
-        }
         group.bench_with_input(BenchmarkId::new("auto", n), &g, |b, g| {
-            b.iter(|| black_box(solve_auto_with(g, &cfg, None, 4)))
+            b.iter(|| black_box(solve_auto(g, &cfg, None)))
         });
     }
     group.finish();

@@ -2,10 +2,9 @@
 //! (simulate → snapshot → rank → estimate) at 1, 2, and 8 threads.
 //!
 //! Exercises the deterministic parallel execution layer end to end: the
-//! world's visit phase runs on the given thread budget, and the
-//! pipeline's PageRank dispatches through `solve_auto` (sequential
-//! Gauss–Seidel vs. the degree-relabeled multi-color parallel sweep,
-//! chosen by graph size × thread budget). Besides the timings, the run
+//! world's visit phase and the align stage run on the given thread
+//! budget; the pipeline's PageRank (`solve_auto`, sequential
+//! Gauss–Seidel) ignores it. Besides the timings, the run
 //! fingerprints the simulated history at each budget and asserts the
 //! fingerprints match — the bit-identity guarantee, checked on the real
 //! workload, not just in unit tests.

@@ -30,7 +30,7 @@ options:
   --window W        slide a W-snapshot window through the series via one
                     stage engine, printing per-step cache stats; the
                     printed report comes from the final window (W >= 3)
-  --threads T       align-stage/solver worker threads (default:
+  --threads T       align-stage worker threads (default:
                     QRANK_THREADS or available parallelism; results are
                     bitwise identical at every setting)
   --out FILE        per-page TSV: page, trend, current, estimate, future, errors

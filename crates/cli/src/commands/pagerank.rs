@@ -2,8 +2,7 @@
 
 use qrank_graph::io::read_edge_list;
 use qrank_rank::{
-    colored_gauss_seidel, gauss_seidel, hits, indegree_scores, opic, pagerank, parallel_pagerank,
-    solve_auto_with, OpicPolicy, PageRankConfig, ScoreScale,
+    hits, indegree_scores, opic, pagerank, solve_auto, OpicPolicy, PageRankConfig, ScoreScale,
 };
 
 use crate::args::{parse, write_output, CliError};
@@ -13,23 +12,20 @@ qrank pagerank --graph <file> [options]
 
 options:
   --graph FILE     input edge list
-  --solver NAME    auto | power | gauss-seidel | colored | parallel | hits |
-                   indegree | opic (default power; `auto` picks the fastest
-                   PageRank solver for the graph size and thread budget)
+  --solver NAME    power | gauss-seidel | hits | indegree | opic (default
+                   power; `auto` is another name for gauss-seidel, the
+                   solver the pipeline uses)
   --damping D      paper-style damping d = teleport probability (default 0.15)
   --scale S        probability | per-page (default per-page, as in the paper)
-  --threads T      parallel solver threads (default 4)
   --top K          print only the top K pages (default: all)
   --out FILE       write `node<TAB>score` TSV (default stdout)
   --trace FILE     write the solver's per-iteration convergence trace as
                    `iter<TAB>residual` TSV (PageRank solvers only —
-                   power, gauss-seidel, colored, parallel, auto)";
+                   power, gauss-seidel)";
 
 /// Entry point.
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let allowed = [
-        "graph", "solver", "damping", "scale", "threads", "top", "out", "trace",
-    ];
+    let allowed = ["graph", "solver", "damping", "scale", "top", "out", "trace"];
     let p = parse(argv, &allowed, USAGE)?;
     if p.help {
         println!("{USAGE}");
@@ -58,23 +54,8 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             let r = pagerank(&g, &cfg);
             (r.scores, Some(r.residuals))
         }
-        "gauss-seidel" => {
-            let r = gauss_seidel(&g, &cfg);
-            (r.scores, Some(r.residuals))
-        }
-        "auto" => {
-            let threads: usize = p.get_or("threads", 4, USAGE)?;
-            let r = solve_auto_with(&g, &cfg, None, threads);
-            (r.scores, Some(r.residuals))
-        }
-        "colored" => {
-            let threads: usize = p.get_or("threads", 4, USAGE)?;
-            let r = colored_gauss_seidel(&g, &cfg, threads);
-            (r.scores, Some(r.residuals))
-        }
-        "parallel" => {
-            let threads: usize = p.get_or("threads", 4, USAGE)?;
-            let r = parallel_pagerank(&g, &cfg, threads);
+        "gauss-seidel" | "auto" => {
+            let r = solve_auto(&g, &cfg, None);
             (r.scores, Some(r.residuals))
         }
         "hits" => (hits(&g, 1e-10, 200).authorities, None),
@@ -146,16 +127,7 @@ mod tests {
     fn scores_all_solvers() {
         let path = write_sample_graph("scores_all_solvers");
         let dir = path.parent().unwrap();
-        for solver in [
-            "power",
-            "gauss-seidel",
-            "auto",
-            "colored",
-            "parallel",
-            "hits",
-            "indegree",
-            "opic",
-        ] {
+        for solver in ["power", "gauss-seidel", "auto", "hits", "indegree", "opic"] {
             let out = dir.join(format!("{solver}.tsv"));
             run(&argv(&[
                 "--graph",
@@ -232,6 +204,25 @@ mod tests {
         assert!(matches!(
             run(&argv(&["--graph", "/nonexistent/file.edges"])),
             Err(CliError::Runtime(_))
+        ));
+    }
+
+    #[test]
+    fn removed_solvers_and_threads_are_usage_errors() {
+        let path = write_sample_graph("removed_solvers_and_threads_are_usage_errors");
+        let graph = path.to_str().unwrap();
+        for solver in ["colored", "parallel"] {
+            assert!(
+                matches!(
+                    run(&argv(&["--graph", graph, "--solver", solver])),
+                    Err(CliError::Usage(_))
+                ),
+                "{solver}"
+            );
+        }
+        assert!(matches!(
+            run(&argv(&["--graph", graph, "--threads", "4"])),
+            Err(CliError::Usage(_))
         ));
     }
 

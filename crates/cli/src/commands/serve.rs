@@ -61,7 +61,7 @@ options:
   --series FILE      binary snapshot series from `qrank simulate` (required)
   --addr HOST:PORT   bind address (default 127.0.0.1:7878; port 0 = ephemeral)
   --workers N        request worker threads (default 4)
-  --threads T        stage-engine align/solver worker threads (default:
+  --threads T        align-stage worker threads (default:
                      QRANK_THREADS or available parallelism; output is
                      bitwise identical at every setting)
   --cache N          topk response cache capacity (default 64)
@@ -194,9 +194,8 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     let duration: f64 = p.get_or("duration", 0.0, USAGE)?;
     let threads: usize = p.get_or("threads", 0, USAGE)?;
     if threads > 0 {
-        // One budget for everything compute-bound in the refresh path:
-        // the solvers read the process-global budget, and the engine's
-        // parallel align stage follows it too.
+        // The process-global budget sizes the engine's parallel align
+        // stage; the PageRank solve is sequential at any budget.
         qrank_rank::set_thread_budget(threads);
     }
 

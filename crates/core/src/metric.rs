@@ -36,12 +36,12 @@ impl PopularityMetric {
     /// a previous snapshot's scores (only the PageRank metric uses the
     /// hint; the others are direct computations).
     ///
-    /// PageRank is solved by [`qrank_rank::solve_auto`]: sequential
-    /// Gauss–Seidel on small graphs, the degree-relabeled multi-color
-    /// parallel sweep on large ones — whichever is fastest for the graph
-    /// size and [`qrank_rank::thread_budget`]. Both the pipeline's cold
-    /// path and the serve refresh engine's warm path funnel through this
-    /// one call, so warm refreshes stay bitwise-equal to cold recomputes.
+    /// PageRank is solved by [`qrank_rank::solve_auto`], sequential
+    /// Gauss–Seidel, so a column's bits do not depend on the thread
+    /// budget. The stage engine (and through it the pipeline and the
+    /// serve refresh engine) calls [`PopularityMetric::compute`]; it
+    /// reuses whole columns by snapshot fingerprint rather than
+    /// warm-starting, which keeps refreshes bitwise-equal to cold runs.
     pub fn compute_warm(&self, g: &CsrGraph, warm: Option<&[f64]>) -> Vec<f64> {
         match self {
             PopularityMetric::PageRank(cfg) => qrank_rank::solve_auto(g, cfg, warm).scores,

@@ -1,10 +1,13 @@
-//! House invariant of the stage engine: for **every** window shape —
-//! append, window slide, common-set change — a warm [`PipelineEngine`]'s
-//! report is *bitwise* identical to a cold `run_pipeline_with` on the
-//! same series, at every thread budget the determinism suite covers.
-//! Both paths solve through `qrank_rank::solve_auto`, so the invariant
-//! also proves cache reuse never leaks a value the cold dispatch would
-//! not have produced.
+//! House invariants of the stage engine:
+//!
+//! * for **every** window shape — append, window slide, common-set
+//!   change — a warm [`PipelineEngine`]'s report is *bitwise* identical
+//!   to a cold `run_pipeline_with` on the same series. Both paths solve
+//!   through `qrank_rank::solve_auto`, so this also proves cache reuse
+//!   never leaks a value a cold solve would not have produced;
+//! * every report is the same bytes at thread budgets 1, 2 and 8,
+//!   including on a 100k-page common set, the size at which the solver
+//!   used to switch to a threaded sweep.
 //!
 //! The thread budget is process-global state, so the whole matrix lives
 //! in one `#[test]` (parallel test threads would race on it).
@@ -44,6 +47,37 @@ fn window(lo: u64, hi: u64) -> SnapshotSeries {
     let mut s = SnapshotSeries::new();
     for t in lo..hi {
         s.push(master_snapshot(t)).unwrap();
+    }
+    s
+}
+
+/// Pages in [`large_series`]: the graph size at which solver dispatch
+/// used to pick the threaded colored sweep at two or more threads.
+const LARGE_PAGES: u32 = 100_000;
+
+/// Three snapshots of one `LARGE_PAGES`-page web, so the common set is
+/// every page. Sparse on purpose (a ring plus one churning link per two
+/// pages) to keep the debug-build solves cheap.
+fn large_series() -> SnapshotSeries {
+    let n = LARGE_PAGES;
+    let pages: Vec<PageId> = (0..u64::from(n)).map(PageId).collect();
+    let mut s = SnapshotSeries::new();
+    for t in 0..3u64 {
+        let mut edges: Vec<(u32, u32)> = (0..n).map(|u| (u, (u + 1) % n)).collect();
+        let mut state = 0xD1B5_4A32_D192_ED03u64.wrapping_mul(t + 1);
+        for _ in 0..n / 2 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let u = ((state >> 33) % u64::from(n)) as u32;
+            let v = ((state >> 13) % u64::from(n)) as u32;
+            if u != v {
+                edges.push((u, v));
+            }
+        }
+        let graph = CsrGraph::from_edges(n as usize, &edges);
+        s.push(Snapshot::new(t as f64, graph, pages.clone()).unwrap())
+            .unwrap();
     }
     s
 }
@@ -102,8 +136,12 @@ fn engine_matches_cold_pipeline_for_every_window_shape_and_budget() {
         // t=5..8 all contain page 41 as well: changed again
         (5, 8, "common-set change (shrunk window)", 3),
     ];
+    let large = large_series();
+    // Every report's bytes at budget 1; later budgets must reproduce them.
+    let mut at_budget_1: Vec<String> = Vec::new();
     for budget in [1usize, 2, 8] {
         qrank_rank::set_thread_budget(budget);
+        let mut reports: Vec<String> = Vec::new();
         let mut engine = PipelineEngine::new(metric.clone());
         for &(lo, hi, label, want_solved) in &scenarios {
             let series = window(lo, hi);
@@ -119,6 +157,26 @@ fn engine_matches_cold_pipeline_for_every_window_shape_and_budget() {
             let cold = run_pipeline_with(&series, &metric, &estimator, 0.05)
                 .unwrap_or_else(|e| panic!("{what}: cold pipeline failed: {e}"));
             assert_bitwise_equal(&warm, &cold, &what);
+            reports.push(format!("{warm:?}"));
+        }
+        let report = run_pipeline_with(&large, &metric, &estimator, 0.05)
+            .unwrap_or_else(|e| panic!("budget {budget}, large web: pipeline failed: {e}"));
+        assert_eq!(report.pages.len(), LARGE_PAGES as usize);
+        reports.push(format!("{report:?}"));
+
+        // `{:?}` prints every f64 in its shortest round-trip form, so
+        // equal renderings mean equal bits.
+        if budget == 1 {
+            at_budget_1 = reports;
+            continue;
+        }
+        assert_eq!(reports.len(), at_budget_1.len());
+        for (i, (now, first)) in reports.iter().zip(&at_budget_1).enumerate() {
+            let label = scenarios.get(i).map_or("large web", |s| s.2);
+            assert!(
+                now == first,
+                "budget {budget}, {label}: report bytes differ from budget 1"
+            );
         }
     }
     // restore the default budget for any test that runs after us

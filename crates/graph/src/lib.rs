@@ -60,7 +60,6 @@ pub mod error;
 pub mod fingerprint;
 pub mod generators;
 pub mod io;
-pub mod relabel;
 pub mod scc;
 pub mod snapshot;
 pub mod stats;
@@ -73,7 +72,6 @@ pub use csr::CsrGraph;
 pub use dynamic::{DynamicGraph, EdgeEvent};
 pub use error::GraphError;
 pub use fingerprint::{pages_fingerprint, Fingerprinter};
-pub use relabel::{degree_order, Relabeling};
 pub use snapshot::{PageId, PageSet, Snapshot, SnapshotSeries};
 
 /// Node identifier within a single [`CsrGraph`].

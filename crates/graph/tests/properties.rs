@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use qrank_graph::io::{decode_graph, decode_series, encode_graph, encode_series};
-use qrank_graph::relabel::Relabeling;
 use qrank_graph::scc::tarjan_scc;
 use qrank_graph::traversal::{bfs, weakly_connected_components};
 use qrank_graph::{CsrGraph, NodeId, PageId, PageSet, Snapshot, SnapshotSeries};
@@ -163,7 +162,7 @@ proptest! {
 
     /// The fused single-pass restriction (`restrict_relabel`) is
     /// edge-for-edge identical to the reference two-pass path
-    /// (`induced_subgraph` of the sorted keep set, then `relabeled` into
+    /// (`induced_subgraph` of the sorted keep set, then `relabel` into
     /// keep order) on arbitrary graphs, keep sets, and keep *orders*.
     #[test]
     fn fused_restriction_matches_two_pass_reference(
@@ -191,7 +190,7 @@ proptest! {
         for (pos, &u) in keep.iter().enumerate() {
             perm[sorted_keep.binary_search(&u).unwrap()] = pos as NodeId;
         }
-        let reference = sub_sorted.relabeled(&Relabeling { perm });
+        let reference = sub_sorted.relabel(&perm).expect("valid permutation");
 
         // Fused: one counting pass + one fill pass.
         let mut old_to_new = vec![NodeId::MAX; g.num_nodes()];

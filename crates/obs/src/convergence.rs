@@ -1,10 +1,10 @@
 //! Solver convergence telemetry.
 //!
-//! Every PageRank solve (power iteration, sequential Gauss–Seidel,
-//! multi-color parallel Gauss–Seidel, and the `solve_auto` dispatcher)
-//! reports its per-iteration residuals here, turning convergence curves
-//! into first-class data: `qrank obs-dump` and the bench binaries embed
-//! them, and `qrank pagerank --trace` writes them out directly.
+//! Every PageRank solve (power iteration, and Gauss–Seidel, which
+//! `solve_auto` runs) reports its per-iteration residuals here, turning
+//! convergence curves into first-class data: `qrank obs-dump` and the
+//! bench binaries embed them, and `qrank pagerank --trace` writes them
+//! out directly.
 //!
 //! The store is bounded ([`MAX_TRACES`], newest kept) and gated on
 //! [`crate::enabled`]: with observability off the residual vector is
@@ -22,8 +22,7 @@ pub const MAX_TRACES: usize = 64;
 /// One solver run's convergence record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceTrace {
-    /// Which solver produced the trace: `"power"`, `"gauss_seidel"`,
-    /// `"colored"`, …
+    /// Which solver produced the trace: `"power"` or `"gauss_seidel"`.
     pub solver: &'static str,
     /// Node count of the solved graph (useful for matching traces to
     /// solves in tests and dumps).

@@ -12,7 +12,7 @@
 
 use qrank_graph::CsrGraph;
 
-use crate::power::{apply_scale, inv_out_degrees, PageRankResult};
+use crate::power::{apply_scale, initial_vector, inv_out_degrees, renormalize, PageRankResult};
 use crate::{DanglingStrategy, PageRankConfig};
 
 /// Compute PageRank by Gauss–Seidel iteration.
@@ -51,18 +51,11 @@ pub fn gauss_seidel_warm(
     let inv = inv_out_degrees(g);
     let alpha = config.follow_prob;
     let teleport = (1.0 - alpha) / n as f64;
-    let mut x = match warm {
-        Some(w)
-            if w.len() == n
-                && w.iter().all(|&v| v.is_finite() && v >= 0.0)
-                && w.iter().sum::<f64>() > 0.0 =>
-        {
-            let sum: f64 = w.iter().sum();
-            w.iter().map(|&v| v / sum).collect()
-        }
-        _ => vec![1.0 / n as f64; n],
-    };
-    let mut prev = vec![0.0; n];
+    let mut x = initial_vector(n, warm);
+    // Each page's outflow share `x[u] / outdeg(u)`, rewritten whenever
+    // `x[u]` is, so a sweep reads one value per in-link instead of two.
+    // The product is the one the pull would form, so the bits match.
+    let mut share: Vec<f64> = x.iter().zip(&inv).map(|(a, b)| a * b).collect();
     let mut residuals = Vec::new();
     let mut converged = false;
     let mut iterations = 0;
@@ -71,11 +64,12 @@ pub fn gauss_seidel_warm(
     let mut dangling_mass: f64 = (0..n).filter(|&u| inv[u] == 0.0).map(|u| x[u]).sum();
 
     while iterations < config.max_iterations {
-        prev.copy_from_slice(&x);
+        // L1 distance between consecutive sweeps, summed in page order.
+        let mut r = 0.0;
         for v in 0..n {
             let mut acc = 0.0;
             for &u in g.in_neighbors(v as u32) {
-                acc += x[u as usize] * inv[u as usize];
+                acc += share[u as usize];
             }
             let dangling_share = match config.dangling {
                 DanglingStrategy::LinkToAll => alpha * dangling_mass / n as f64,
@@ -99,9 +93,10 @@ pub fn gauss_seidel_warm(
                 }
                 dangling_mass += new_v - x[v];
             }
+            r += (new_v - x[v]).abs();
             x[v] = new_v;
+            share[v] = new_v * inv[v];
         }
-        let r: f64 = x.iter().zip(prev.iter()).map(|(a, b)| (a - b).abs()).sum();
         iterations += 1;
         residuals.push(r);
         if r < config.tolerance {
@@ -110,13 +105,7 @@ pub fn gauss_seidel_warm(
         }
     }
     // GS does not preserve the simplex exactly en route; project back.
-    let sum: f64 = x.iter().sum();
-    if sum > 0.0 {
-        let invs = 1.0 / sum;
-        for v in x.iter_mut() {
-            *v *= invs;
-        }
-    }
+    renormalize(&mut x);
     apply_scale(&mut x, config.scale);
     qrank_obs::convergence::record_solve("gauss_seidel", n, iterations, converged, &residuals);
     PageRankResult {
@@ -224,6 +213,80 @@ mod tests {
         );
         for (x, y) in a.scores.iter().zip(&b.scores) {
             assert!((x - y).abs() < 1e-8);
+        }
+    }
+
+    /// The textbook sweep: pull `x[u] * inv[u]` per in-link and take the
+    /// residual over a copy of the previous iterate.
+    fn two_read_sweeps(g: &CsrGraph, cfg: &PageRankConfig, warm: Option<&[f64]>) -> PageRankResult {
+        let n = g.num_nodes();
+        let inv = inv_out_degrees(g);
+        let alpha = cfg.follow_prob;
+        let teleport = (1.0 - alpha) / n as f64;
+        let mut x = initial_vector(n, warm);
+        let mut prev = vec![0.0; n];
+        let mut residuals = Vec::new();
+        let mut dangling_mass: f64 = (0..n).filter(|&u| inv[u] == 0.0).map(|u| x[u]).sum();
+        let mut converged = false;
+        while residuals.len() < cfg.max_iterations {
+            prev.copy_from_slice(&x);
+            for v in 0..n {
+                let mut acc = 0.0;
+                for &u in g.in_neighbors(v as u32) {
+                    acc += x[u as usize] * inv[u as usize];
+                }
+                let dangling_share = match cfg.dangling {
+                    DanglingStrategy::LinkToAll => alpha * dangling_mass / n as f64,
+                    _ => 0.0,
+                };
+                let mut new_v = teleport + dangling_share + alpha * acc;
+                if inv[v] == 0.0 {
+                    if cfg.dangling == DanglingStrategy::SelfLoop {
+                        new_v = (teleport + alpha * acc) / (1.0 - alpha);
+                    }
+                    dangling_mass += new_v - x[v];
+                }
+                x[v] = new_v;
+            }
+            let r: f64 = x.iter().zip(&prev).map(|(a, b)| (a - b).abs()).sum();
+            residuals.push(r);
+            if r < cfg.tolerance {
+                converged = true;
+                break;
+            }
+        }
+        renormalize(&mut x);
+        apply_scale(&mut x, cfg.scale);
+        PageRankResult {
+            scores: x,
+            iterations: residuals.len(),
+            converged,
+            residuals,
+        }
+    }
+
+    #[test]
+    fn cached_shares_match_two_read_sweeps_bit_for_bit() {
+        let g = random_graph(600, 2500, 17);
+        let warm: Vec<f64> = (0..600).map(|i| 1.0 + (i % 7) as f64).collect();
+        for dangling in [
+            DanglingStrategy::LinkToAll,
+            DanglingStrategy::SelfLoop,
+            DanglingStrategy::RemoveAndRenormalize,
+        ] {
+            let cfg = PageRankConfig {
+                dangling,
+                ..Default::default()
+            };
+            for w in [None, Some(warm.as_slice())] {
+                let a = gauss_seidel_warm(&g, &cfg, w);
+                let b = two_read_sweeps(&g, &cfg, w);
+                assert_eq!(a.iterations, b.iterations, "{dangling:?}");
+                assert_eq!(a.converged, b.converged, "{dangling:?}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a.residuals), bits(&b.residuals), "{dangling:?}");
+                assert_eq!(bits(&a.scores), bits(&b.scores), "{dangling:?}");
+            }
         }
     }
 

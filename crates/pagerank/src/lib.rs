@@ -9,14 +9,12 @@
 //!   that a page with no outgoing links implicitly links to every page),
 //!   tolerance, and score scale (probability, or the paper's
 //!   one-per-page scale — "we used 1 as the initial PageRank value").
+//!   The reference solver.
 //! * [`gauss_seidel()`] — in-place Gauss–Seidel iteration; fewer sweeps to
 //!   the same tolerance.
-//! * [`extrapolated()`] — Aitken Δ² extrapolation (Kamvar et al., cited as
-//!   \[12\] in the paper) to accelerate convergence.
-//! * [`adaptive()`] — adaptive PageRank (\[11\]): converged pages freeze.
-//! * [`parallel`] — multithreaded pull-based power iteration.
-//! * [`personalized`] — topic-sensitive PageRank (\[10\]) with an
-//!   arbitrary preference vector.
+//! * [`solve_auto()`] — the one entry point the pipeline, the stage engine
+//!   and the refresh engine use: warm-startable sequential Gauss–Seidel,
+//!   whose bits do not depend on the thread budget.
 //! * [`hits()`] — Kleinberg's Hub & Authority (\[13\]), the other
 //!   second-generation metric the paper discusses.
 //! * [`opic()`] — Abiteboul et al.'s adaptive on-line page importance
@@ -24,8 +22,7 @@
 //! * [`indegree`] — raw link-count popularity, the paper's footnote-4
 //!   alternative to PageRank inside the quality estimator.
 //!
-//! All solvers agree with each other (tested), so callers can pick by
-//! performance.
+//! Power iteration and Gauss–Seidel reach the same fixed point (tested).
 //!
 //! ## Convention
 //!
@@ -39,31 +36,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
-pub mod colored;
 pub mod config;
-pub mod extrapolation;
 pub mod gauss_seidel;
 pub mod hits;
 pub mod indegree;
 pub mod opic;
-pub mod parallel;
-pub mod personalized;
 pub mod power;
 pub mod solver;
 
-pub use adaptive::adaptive;
-pub use colored::{colored_gauss_seidel, colored_gauss_seidel_warm, greedy_coloring, Coloring};
 pub use config::{DanglingStrategy, PageRankConfig, ScoreScale};
-pub use extrapolation::extrapolated;
 pub use gauss_seidel::{gauss_seidel, gauss_seidel_warm};
 pub use hits::{hits, HitsResult};
 pub use indegree::{indegree_scores, normalized_indegree};
 pub use opic::{opic, OpicPolicy, OpicResult};
-pub use parallel::{parallel_pagerank, parallel_pagerank_force};
-pub use personalized::personalized_pagerank;
 pub use power::{pagerank, pagerank_warm, PageRankResult};
-pub use solver::{
-    select_solver, set_thread_budget, solve_auto, solve_auto_with, thread_budget, SolverChoice,
-    PARALLEL_MIN_NODES,
-};
+pub use solver::{set_thread_budget, solve_auto, thread_budget};

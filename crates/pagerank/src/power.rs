@@ -14,7 +14,7 @@ pub struct PageRankResult {
     /// Whether the tolerance was met before the iteration cap.
     pub converged: bool,
     /// L1 residual after each iteration (probability scale); useful for
-    /// convergence studies and the extrapolation/adaptive comparisons.
+    /// convergence studies.
     pub residuals: Vec<f64>,
 }
 
@@ -32,11 +32,11 @@ impl PageRankResult {
     }
 }
 
-/// One pull-style power iteration step shared by the sequential solvers.
+/// One pull-style power iteration step.
 ///
 /// `x` must be a probability vector; writes the next iterate into `next`
 /// and returns the L1 residual.
-pub(crate) fn step(
+fn step(
     g: &CsrGraph,
     config: &PageRankConfig,
     inv_out_degree: &[f64],
@@ -104,6 +104,23 @@ pub(crate) fn inv_out_degrees(g: &CsrGraph) -> Vec<f64> {
         .collect()
 }
 
+/// The starting iterate: the warm vector renormalized to a
+/// distribution, or uniform when there is none or it is unusable
+/// (wrong length, non-finite or negative entries, zero sum).
+pub(crate) fn initial_vector(n: usize, warm: Option<&[f64]>) -> Vec<f64> {
+    match warm {
+        Some(w)
+            if w.len() == n
+                && w.iter().all(|&v| v.is_finite() && v >= 0.0)
+                && w.iter().sum::<f64>() > 0.0 =>
+        {
+            let sum: f64 = w.iter().sum();
+            w.iter().map(|&v| v / sum).collect()
+        }
+        _ => vec![1.0 / n as f64; n],
+    }
+}
+
 pub(crate) fn apply_scale(scores: &mut [f64], scale: ScoreScale) {
     if scale == ScoreScale::PerPage {
         let n = scores.len() as f64;
@@ -146,17 +163,7 @@ pub fn pagerank_warm(
         };
     }
     let inv = inv_out_degrees(g);
-    let mut x = match warm {
-        Some(w)
-            if w.len() == n
-                && w.iter().all(|&v| v.is_finite() && v >= 0.0)
-                && w.iter().sum::<f64>() > 0.0 =>
-        {
-            let sum: f64 = w.iter().sum();
-            w.iter().map(|&v| v / sum).collect()
-        }
-        _ => vec![1.0 / n as f64; n],
-    };
+    let mut x = initial_vector(n, warm);
     let mut next = vec![0.0; n];
     let mut residuals = Vec::new();
     let mut converged = false;

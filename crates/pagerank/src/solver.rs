@@ -1,58 +1,40 @@
-//! Automatic solver selection: graph size × thread budget.
+//! The one PageRank entry point for trajectory columns.
 //!
-//! Callers that just want "the fastest correct PageRank" — the pipeline
-//! in `qrank-core`, the refresh engine in `qrank-serve` — should not
-//! hard-code a solver. The right choice depends on the graph and the
-//! machine:
+//! The pipeline in `qrank-core`, the stage engine and the refresh
+//! engine in `qrank-serve` call [`solve_auto`], which is sequential
+//! in-place Gauss–Seidel ([`crate::gauss_seidel_warm`]) at every graph
+//! size and thread budget. Its output bits depend only on the graph, the
+//! config and the warm vector — never on how many threads the process
+//! has. Threaded sweeps (multi-color Gauss–Seidel over a degree-ordered
+//! relabeling) were measured slower than this sweep on a 2-vCPU host and
+//! were removed; see DESIGN.md.
 //!
-//! * **Small graphs** (the overwhelming majority of snapshots): the
-//!   sequential in-place Gauss–Seidel sweep wins. Parallel solvers cross
-//!   two-plus barriers per iteration, and below
-//!   [`PARALLEL_MIN_NODES`] that synchronization costs more than the
-//!   whole sweep (measured in the `pagerank_solvers` bench group; on the
-//!   bench host the crossover sits near 10⁵ nodes, and the threshold is
-//!   set conservatively at that scale).
-//! * **Large graphs with threads to spare**: the multi-color parallel
-//!   Gauss–Seidel sweep ([`crate::colored_gauss_seidel_warm`]) on a
-//!   degree-ordered relabeling of the graph. Relabeling packs hub rows
-//!   into a contiguous prefix (cache locality); coloring makes the
-//!   parallel sweep deterministic for any thread count.
-//!
-//! The thread budget defaults to the machine's available parallelism and
-//! can be pinned globally with [`set_thread_budget`] (used by benchmarks
-//! to measure scaling) or per call.
+//! The process-wide thread budget ([`set_thread_budget`],
+//! [`thread_budget`]) lives here for the stages that do run threads (the
+//! snapshot alignment in `qrank-graph`); the solve ignores it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use qrank_graph::relabel::{degree_order, forward_vector, inverse_scores};
 use qrank_graph::CsrGraph;
 
-use crate::colored::colored_gauss_seidel_warm;
 use crate::gauss_seidel::gauss_seidel_warm;
 use crate::power::PageRankResult;
 use crate::PageRankConfig;
 
-/// Below this node count every parallel solver loses to sequential
-/// Gauss–Seidel (barrier synchronization dwarfs per-iteration work);
-/// callers no longer need to know that — [`solve_auto`] and
-/// [`crate::parallel_pagerank`] fall back automatically.
-pub const PARALLEL_MIN_NODES: usize = 100_000;
-
 /// 0 = "auto" (use available parallelism).
 static THREAD_BUDGET: AtomicUsize = AtomicUsize::new(0);
 
-/// Pin the global solver thread budget (0 restores auto-detection).
+/// Pin the global thread budget (0 restores auto-detection).
 ///
-/// Affects every subsequent [`thread_budget`]/[`solve_auto`] call in the
-/// process — intended for benchmarks and services that reserve cores.
-/// Scores are unaffected: every solver dispatched by [`solve_auto`] is
-/// bit-deterministic for any thread count.
+/// Affects every subsequent [`thread_budget`] call in the process —
+/// intended for benchmarks and services that reserve cores. Scores are
+/// unaffected: [`solve_auto`] is sequential at any budget.
 pub fn set_thread_budget(threads: usize) {
     THREAD_BUDGET.store(threads, Ordering::Relaxed);
 }
 
-/// The solver thread budget: the last [`set_thread_budget`] value, else
-/// the `QRANK_THREADS` environment variable, else available parallelism.
+/// The thread budget: the last [`set_thread_budget`] value, else the
+/// `QRANK_THREADS` environment variable, else available parallelism.
 pub fn thread_budget() -> usize {
     let pinned = THREAD_BUDGET.load(Ordering::Relaxed);
     if pinned > 0 {
@@ -70,108 +52,22 @@ pub fn thread_budget() -> usize {
         .unwrap_or(1)
 }
 
-/// What [`solve_auto`] decided to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverChoice {
-    /// Sequential in-place Gauss–Seidel (small graph or single thread).
-    GaussSeidel,
-    /// Degree-relabeled multi-color parallel Gauss–Seidel.
-    ColoredGaussSeidel {
-        /// Worker threads the sweep will use.
-        threads: usize,
-    },
-}
-
-/// The selection heuristic, exposed for tests and logging.
-pub fn select_solver(num_nodes: usize, threads: usize) -> SolverChoice {
-    if threads <= 1 || num_nodes < PARALLEL_MIN_NODES {
-        SolverChoice::GaussSeidel
-    } else {
-        SolverChoice::ColoredGaussSeidel { threads }
-    }
-}
-
-/// Solve PageRank with the fastest solver for this graph size and the
-/// global [`thread_budget`]. See [`solve_auto_with`].
-pub fn solve_auto(g: &CsrGraph, config: &PageRankConfig, warm: Option<&[f64]>) -> PageRankResult {
-    solve_auto_with(g, config, warm, thread_budget())
-}
-
-/// Solve PageRank with an explicit thread budget.
+/// Solve PageRank by sequential Gauss–Seidel, optionally warm-started,
+/// inside the `rank.solve_auto` span.
 ///
-/// Dispatches per [`select_solver`]. Results are deterministic for a
-/// fixed choice of solver: the sequential path is trivially so, and the
-/// colored path is bit-identical for any thread count — so two calls
-/// with the same graph, config, and warm vector agree bitwise whenever
-/// they select the same solver (which depends only on `num_nodes` and
-/// `threads`).
-pub fn solve_auto_with(
-    g: &CsrGraph,
-    config: &PageRankConfig,
-    warm: Option<&[f64]>,
-    threads: usize,
-) -> PageRankResult {
+/// Deterministic: the same graph, config and warm vector give the same
+/// bits at any [`thread_budget`].
+pub fn solve_auto(g: &CsrGraph, config: &PageRankConfig, warm: Option<&[f64]>) -> PageRankResult {
     let _span = qrank_obs::span!("rank.solve_auto");
-    let choice = select_solver(g.num_nodes(), threads.max(1));
-    if qrank_obs::enabled() {
-        let tag = match choice {
-            SolverChoice::GaussSeidel => "rank.choice.gauss_seidel",
-            SolverChoice::ColoredGaussSeidel { .. } => "rank.choice.colored",
-        };
-        qrank_obs::global().counter(tag).inc();
-    }
-    match choice {
-        SolverChoice::GaussSeidel => gauss_seidel_warm(g, config, warm),
-        SolverChoice::ColoredGaussSeidel { threads } => {
-            // Degree-ordered relabeling: hub rows first for cache
-            // locality; scores map back through the inverse permutation.
-            let r = degree_order(g);
-            let relabeled = g.relabeled(&r);
-            let warm_fwd = warm.map(|w| {
-                if w.len() == g.num_nodes() {
-                    forward_vector(w, &r)
-                } else {
-                    w.to_vec() // wrong length: let the solver reject it
-                }
-            });
-            let mut result =
-                colored_gauss_seidel_warm(&relabeled, config, warm_fwd.as_deref(), threads);
-            result.scores = inverse_scores(&result.scores, &r);
-            result
-        }
-    }
+    gauss_seidel_warm(g, config, warm)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gauss_seidel::gauss_seidel;
     use qrank_graph::generators::barabasi_albert;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn small_graphs_select_sequential_gs() {
-        assert_eq!(select_solver(500, 8), SolverChoice::GaussSeidel);
-        assert_eq!(
-            select_solver(PARALLEL_MIN_NODES, 1),
-            SolverChoice::GaussSeidel
-        );
-        assert_eq!(
-            select_solver(PARALLEL_MIN_NODES, 4),
-            SolverChoice::ColoredGaussSeidel { threads: 4 }
-        );
-    }
-
-    #[test]
-    fn auto_matches_sequential_gs_on_small_graphs() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = barabasi_albert(300, 4, &mut rng);
-        let cfg = PageRankConfig::default();
-        let auto = solve_auto_with(&g, &cfg, None, 8);
-        let gs = gauss_seidel(&g, &cfg);
-        assert_eq!(auto.scores, gs.scores, "small graph must take the GS path");
-    }
 
     #[test]
     fn budget_pinning_round_trips() {
@@ -182,28 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn relabeled_parallel_path_agrees_with_sequential() {
-        // Force the colored path by lowering the budget check: call the
-        // colored branch directly through solve_auto_with on a graph
-        // above threshold would need 100k nodes; instead exercise the
-        // relabel+solve+inverse plumbing via a hand-rolled small run.
-        let mut rng = StdRng::seed_from_u64(8);
-        let g = barabasi_albert(800, 5, &mut rng);
-        let cfg = PageRankConfig {
-            tolerance: 1e-12,
-            ..Default::default()
-        };
-        let r = qrank_graph::relabel::degree_order(&g);
-        let relabeled = g.relabeled(&r);
-        let solved = crate::colored::colored_gauss_seidel(&relabeled, &cfg, 4);
-        let back = qrank_graph::relabel::inverse_scores(&solved.scores, &r);
-        let gs = gauss_seidel(&g, &cfg);
-        for (a, b) in gs.scores.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-8, "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn warm_auto_converges_to_cold_auto() {
         let mut rng = StdRng::seed_from_u64(12);
         let g = barabasi_albert(400, 4, &mut rng);
@@ -211,8 +85,8 @@ mod tests {
             tolerance: 1e-12,
             ..Default::default()
         };
-        let cold = solve_auto_with(&g, &cfg, None, 2);
-        let warm = solve_auto_with(&g, &cfg, Some(&cold.scores), 2);
+        let cold = solve_auto(&g, &cfg, None);
+        let warm = solve_auto(&g, &cfg, Some(&cold.scores));
         for (a, b) in cold.scores.iter().zip(&warm.scores) {
             assert!((a - b).abs() < 1e-9);
         }
